@@ -33,10 +33,21 @@ GL4_W = 0.5 * _g4[1]
 
 
 @lru_cache(maxsize=8)
-def gauss_legendre_01(n: int = TRANSPORT_POINTS) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights mapped to (0, 1)."""
+def _gauss_legendre_01(n: int) -> tuple[np.ndarray, np.ndarray]:
     t, w = roots_legendre(n)
     return 0.5 * (t + 1.0), 0.5 * w
+
+
+def gauss_legendre_01(n: int = TRANSPORT_POINTS) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights mapped to (0, 1).
+
+    Cached by node count alone, so ``gauss_legendre_01()`` and
+    ``gauss_legendre_01(TRANSPORT_POINTS)`` share one build.
+    """
+    return _gauss_legendre_01(n)
+
+
+gauss_legendre_01.cache_info = _gauss_legendre_01.cache_info
 
 
 @lru_cache(maxsize=16)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from freelab._grids import GL2_T, GL2_W, cosine_graded
 from freelab.errors import InvalidInputError, SingularEvaluationError
 from freelab.logpotential import (
     TOL_DOUBLE_QUAD,
@@ -9,6 +10,7 @@ from freelab.logpotential import (
     chi_rel,
     euler_lagrange_residual,
     hilbert_transform,
+    _energy_at,
     integrate_potential,
     log_energy,
     log_jacobian,
@@ -177,3 +179,31 @@ def test_double_quad_tolerance_is_respected():
     # the advertised tolerance for double-integral quantities
     e = log_energy(make_semicircular())
     assert abs(e.value - (-0.25)) < TOL_DOUBLE_QUAD
+
+
+def _dense_energy(mu, cells):
+    """The quadrature rule of _energy_at on the whole node square at once."""
+    ps = cosine_graded(cells)
+    h = np.diff(ps)
+    a = np.maximum(np.diff(mu.quantile(ps)), 1e-300)
+    t = (ps[:-1, None] + h[:, None] * GL2_T[None, :]).ravel()
+    w = (h[:, None] * GL2_W[None, :]).ravel()
+    q = mu.quantile(t)
+    cell = np.arange(q.size) // 2
+    logs = np.log(np.maximum(np.abs(q[:, None] - q[None, :]), 1e-300))
+    logs[np.abs(cell[:, None] - cell[None, :]) <= 1] = 0.0
+    total = float(np.sum(w[:, None] * w[None, :] * logs))
+    total += float(np.sum(h * h * (np.log(a) - 1.5)))
+    aa, bb = a[:-1], a[1:]
+    j = 0.5 * ((aa + bb) ** 2 * np.log(aa + bb) - aa * aa * np.log(aa) - bb * bb * np.log(bb)) \
+        - 1.5 * aa * bb
+    return total + float(np.sum(2.0 * j * h[:-1] * h[1:] / (aa * bb)))
+
+
+def test_blocked_energy_matches_dense_rule():
+    # node counts 200 and 602 leave a partial last block, and bands cross
+    # block edges
+    for mu in (make_semicircular(), make_marchenko_pastur_family(1.0),
+               translate(make_arcsine(2.0), 0.5)):
+        for cells in (100, 301):
+            assert abs(_energy_at(mu, cells) - _dense_energy(mu, cells)) < 1e-13

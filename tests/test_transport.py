@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from freelab._grids import TRANSPORT_POINTS, gauss_legendre_01
 from freelab.errors import InvalidInputError
 from freelab.measures import (
     AtomicMeasure,
@@ -187,3 +188,13 @@ def test_ssfti_functional_minimized_at_dual_variance():
         assert best <= probe + 2e-5
     shifted = ssfti_functional(mu, make_semicircular(variance=1.0 / c, mean=0.8))
     assert best <= shifted + 2e-5
+
+
+def test_default_and_explicit_grid_share_one_build():
+    # moments and potential integrals ask for the default grid, transport
+    # for an explicit node count: both must hit the same cache entry
+    before = gauss_legendre_01.cache_info().misses
+    grid = gauss_legendre_01()
+    assert gauss_legendre_01(TRANSPORT_POINTS) is grid
+    assert gauss_legendre_01(n=TRANSPORT_POINTS) is grid
+    assert gauss_legendre_01.cache_info().misses - before <= 1
