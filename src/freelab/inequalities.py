@@ -32,12 +32,17 @@ from .logpotential import (
     log_jacobian,
 )
 from .measures import GridMeasure, make_semicircular
-from .potentials import Potential, legendre_transform, shift_potential, tilt_linear
+from .potentials import (
+    Potential,
+    fenchel_young_gap,
+    lattice_floor,
+    legendre_transform,
+    shift_potential,
+    tilt_linear,
+)
 from .transport import w2
 
 __all__ = ["KINDS", "InequalityReport", "verify"]
-
-LATTICE_POINTS = 256
 
 # ">="-shaped statements store deficit = lhs - rhs; the rest are "<="-shaped
 # and store rhs - lhs, so deficit >= -tol <=> pass for every kind.
@@ -132,23 +137,6 @@ def _require_even(f: Potential):
             witness=(float(xs[k]), float(gap[k])))
 
 
-def _duality_floor(f: Potential, g: Potential, box: float) -> float:
-    """Smallest f(x) + g(y) - xy over the probe lattice; raises on violation."""
-    xs = np.linspace(max(f.domain_lo, -box), min(f.domain_hi, box), LATTICE_POINTS)
-    ys = np.linspace(max(g.domain_lo, -box), min(g.domain_hi, box), LATTICE_POINTS)
-    if xs[-1] <= xs[0] or ys[-1] <= ys[0]:
-        raise InvalidInputError("probe lattice does not meet the potential domains")
-    gap = f.value(xs)[:, None] + g.value(ys)[None, :] - xs[:, None] * ys[None, :]
-    i, j = np.unravel_index(int(np.argmin(gap)), gap.shape)
-    floor = float(gap[i, j])
-    if floor < -1e-9 * (1.0 + box * box):
-        raise HypothesisError(
-            f"duality fails at (x, y) = ({xs[i]:.6g}, {ys[j]:.6g}): "
-            f"f(x) + g(y) - xy = {floor:.3e}",
-            witness=(float(xs[i]), float(ys[j]), floor))
-    return floor
-
-
 def _entropy(res) -> float:
     # exact from the solver's coefficient representation
     return res.energy + 0.75 + HALF_LOG_2PI
@@ -205,7 +193,7 @@ def _free_santalo(inputs, cfg):
     _require_centered("the equilibrium of f", rf.measure.barycenter())
     box = 1.5 * max(abs(rf.support_lo), abs(rf.support_hi),
                     abs(rg.support_lo), abs(rg.support_hi))
-    floor = _duality_floor(f, g, box)
+    floor = fenchel_young_gap(f, g, box)
     lhs = rf.pressure + rg.pressure
     rhs = 2.0 * HALF_LOG_2PI
     extra = {"lattice_floor": f"{floor:.6g}", "lattice_box": f"{box:.6g}"}
@@ -251,23 +239,6 @@ def _inverse_santalo(inputs, cfg):
     return lhs, rhs, {"g": fstar.label}, cfg.nodes
 
 
-def _brunn_minkowski_floor(u1, u2, u3, theta, box) -> float:
-    xs = np.linspace(max(u1.domain_lo, -box), min(u1.domain_hi, box), LATTICE_POINTS)
-    ys = np.linspace(max(u2.domain_lo, -box), min(u2.domain_hi, box), LATTICE_POINTS)
-    mix = theta * xs[:, None] + (1.0 - theta) * ys[None, :]
-    gap = theta * u1.value(xs)[:, None] + (1.0 - theta) * u2.value(ys)[None, :] \
-        - u3.value(mix)
-    gap = np.where(np.isnan(gap), np.inf, gap)  # inf - inf never certifies
-    i, j = np.unravel_index(int(np.argmin(gap)), gap.shape)
-    floor = float(gap[i, j])
-    if floor < -1e-9 * (1.0 + box * box):
-        raise HypothesisError(
-            f"interpolation bound fails at (x, y) = ({xs[i]:.6g}, {ys[j]:.6g}): "
-            f"gap = {floor:.3e}",
-            witness=(float(xs[i]), float(ys[j]), floor))
-    return floor
-
-
 def _free_brunn_minkowski(inputs, cfg):
     u1 = _potential(inputs, "f")
     u2 = _potential(inputs, "g")
@@ -281,7 +252,11 @@ def _free_brunn_minkowski(inputs, cfg):
     box = 1.5 * max(abs(r1.support_lo), abs(r1.support_hi),
                     abs(r2.support_lo), abs(r2.support_hi),
                     abs(r3.support_lo), abs(r3.support_hi))
-    floor = _brunn_minkowski_floor(u1, u2, u3, theta, box)
+    floor = lattice_floor(
+        lambda xs, ys: theta * u1.value(xs)[:, None] + (1.0 - theta) * u2.value(ys)[None, :]
+        - u3.value(theta * xs[:, None] + (1.0 - theta) * ys[None, :]),
+        (u1.domain_lo, u1.domain_hi), (u2.domain_lo, u2.domain_hi), box,
+        "interpolation bound")
     lhs = r3.pressure
     rhs = theta * r1.pressure + (1.0 - theta) * r2.pressure
     extra = {"theta": f"{theta:g}", "lattice_floor": f"{floor:.6g}"}
@@ -308,20 +283,6 @@ def _even_lift(u: Potential) -> Potential:
     )
 
 
-def _prekopa_floor(u1, u2, box) -> float:
-    xs = np.linspace(0.0, box, LATTICE_POINTS)
-    gap = 0.5 * u1.value(np.square(xs))[:, None] \
-        + 0.5 * u2.value(np.square(xs))[None, :] - xs[:, None] * xs[None, :]
-    i, j = np.unravel_index(int(np.argmin(gap)), gap.shape)
-    floor = float(gap[i, j])
-    if floor < -1e-9 * (1.0 + box * box):
-        raise HypothesisError(
-            f"polar pairing fails at (x, y) = ({xs[i]:.6g}, {xs[j]:.6g}): "
-            f"gap = {floor:.3e}",
-            witness=(float(xs[i]), float(xs[j]), floor))
-    return floor
-
-
 def _free_log_prekopa(inputs, cfg):
     u1 = _potential(inputs, "f")
     u2 = _potential(inputs, "g")
@@ -329,7 +290,11 @@ def _free_log_prekopa(inputs, cfg):
     r2 = solve_equilibrium(_even_lift(u2), cfg)
     box = 1.5 * max(abs(r1.support_lo), abs(r1.support_hi),
                     abs(r2.support_lo), abs(r2.support_hi))
-    floor = _prekopa_floor(u1, u2, box)
+    # the polar pairing of the two half-line potentials, on [0, box]^2
+    floor = lattice_floor(
+        lambda xs, ys: 0.5 * u1.value(np.square(xs))[:, None]
+        + 0.5 * u2.value(np.square(ys))[None, :] - xs[:, None] * ys[None, :],
+        (0.0, np.inf), (0.0, np.inf), box, "polar pairing")
     # one-sided relative entropy of each half-line equilibrium, written
     # through the symmetrized pressure: chi+ = 2 (eta(lift) - log(2)/2)
     half_log2 = 0.5 * np.log(2.0)

@@ -5,10 +5,19 @@ extended by +infinity outside.  Factories certify convexity and confinement
 growth; combinators (shift, tilt, Moreau-Yosida, Legendre transform) carry
 the certificates along analytically where possible and re-probe otherwise.
 
-The numerical Legendre transform walks a monotone argmax pointer along a
-fixed evaluation grid and then polishes the maximizer inside the bracketing
-cell by golden-section search, so conjugate values are accurate far beyond
-grid resolution and the envelope derivative comes for free.
+The numerical Legendre transform and the Moreau-Yosida envelope both
+maximize a score over a fixed evaluation grid.  On a convex grid the
+maximizer of x y - u(x) is the first index whose discrete slope reaches y
+(the discrete Legendre-Fenchel fact behind Lucet 1997, Numer. Algorithms
+16), so the grid index is one ``searchsorted`` into the running maximum of
+those break points; non-convex grids fall back to a brute-force argmax.
+The maximizer is then polished inside the bracketing cells by
+golden-section search, so conjugate values are accurate far beyond grid
+resolution and the envelope derivative comes for free.
+
+Pointwise hypotheses between potentials, such as the Fenchel-Young bound
+f(x) + g(y) >= x y, are certified by :func:`lattice_floor` on a finite
+lattice, with the offending lattice point as witness when they fail.
 """
 
 from __future__ import annotations
@@ -18,7 +27,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import HypothesisError, InvalidInputError
 
 __all__ = [
     "Potential",
@@ -34,10 +43,12 @@ __all__ = [
     "moreau_yosida",
     "legendre_transform",
     "fenchel_young_gap",
+    "lattice_floor",
 ]
 
 SCAN_BOX = 64.0
 SCAN_POINTS = 16385
+LATTICE_POINTS = 256
 _FD_STEP = 1e-6
 
 
@@ -255,73 +266,63 @@ def _eval_grid(u: Potential, box: float = SCAN_BOX, n: int = SCAN_POINTS):
     return xs[keep], us[keep]
 
 
-def _golden(fn, lo, hi, iters: int = 48, mode: str = "max"):
-    """Vectorized golden-section optimization on per-component brackets."""
+def _golden(fn, lo, hi, iters: int = 48):
+    """Vectorized golden-section maximization on per-component brackets."""
     ratio = (np.sqrt(5.0) - 1.0) / 2.0
-    sign = 1.0 if mode == "max" else -1.0
     a = lo.astype(float).copy()
     b = hi.astype(float).copy()
     for _ in range(iters):
         c = b - ratio * (b - a)
         d = a + ratio * (b - a)
-        right = sign * fn(d) > sign * fn(c)
+        right = fn(d) > fn(c)
         a = np.where(right, c, a)
         b = np.where(right, b, d)
     x = 0.5 * (a + b)
     return x, fn(x)
 
 
-def _monotone_argmax(ys: np.ndarray, xs: np.ndarray, us: np.ndarray) -> np.ndarray:
-    """Argmax indices of x*y - u(x) for ascending y, single left-to-right pass.
+def _grid_index(ts, xs, us, breaks, score, convex: bool) -> np.ndarray:
+    """Grid index maximizing score(xs, t, us) for each t of the 1-d array ts.
 
-    Relies on the maximizer being nondecreasing in y, which holds whenever u
-    is convex.  Ties resolve to the smallest maximizer.
+    On a convex grid a pointer walk with ascending t would advance from j
+    to j + 1 while t exceeds ``breaks[j]``, so it stops at the first index
+    whose break is >= t.  Against the running maximum of the breaks that is
+    one ``searchsorted``, exact for any break sequence and any query order.
+    Otherwise every grid point is scored, in row blocks.
     """
-    idx = np.empty(ys.size, dtype=np.intp)
-    j = 0
-    m = xs.size
-    for k in range(ys.size):
-        y = ys[k]
-        best = xs[j] * y - us[j]
-        while j + 1 < m:
-            cand = xs[j + 1] * y - us[j + 1]
-            if cand > best:
-                best = cand
-                j += 1
-            else:
-                break
-        idx[k] = j
+    if convex:
+        return np.searchsorted(np.maximum.accumulate(breaks), ts)
+    idx = np.empty(ts.size, dtype=np.intp)
+    chunk = 512
+    for s in range(0, ts.size, chunk):
+        idx[s:s + chunk] = np.argmax(score(xs, ts[s:s + chunk, None], us), axis=1)
     return idx
+
+
+def _grid_max(u: Potential, ts, xs, us, breaks, score):
+    """Maximizer and maximum over x of score(x, t, u(x)), for ts of any shape.
+
+    The grid index from :func:`_grid_index` brackets the maximizer between
+    its neighbours, where golden-section search polishes it.
+    """
+    ts = np.asarray(ts, dtype=float)
+    flat = ts.ravel()
+    idx = _grid_index(flat, xs, us, breaks, score, u.is_convex)
+    lo = xs[np.maximum(idx - 1, 0)]
+    hi = xs[np.minimum(idx + 1, xs.size - 1)]
+    arg, val = _golden(lambda x: score(x, flat, u.value(x)), lo, hi)
+    # keep the grid point when the polish landed on a wall plateau
+    grid_val = score(xs[idx], flat, us[idx])
+    arg = np.where(grid_val >= val, xs[idx], arg)
+    val = np.maximum(val, grid_val)
+    return arg.reshape(ts.shape), val.reshape(ts.shape)
 
 
 def _conjugate_eval(u: Potential, ys, xs, us):
     """Value and maximizer of the conjugate at ys (any shape)."""
-    ys = np.asarray(ys, dtype=float)
-    flat = ys.ravel()
-    order = np.argsort(flat, kind="stable")
-    sorted_ys = flat[order]
-    if u.is_convex:
-        idx = _monotone_argmax(sorted_ys, xs, us)
-    else:
-        idx = np.empty(sorted_ys.size, dtype=np.intp)
-        chunk = 2048
-        for s in range(0, sorted_ys.size, chunk):
-            block = sorted_ys[s:s + chunk, None]
-            idx[s:s + chunk] = np.argmax(block * xs[None, :] - us[None, :], axis=1)
-    lo = xs[np.maximum(idx - 1, 0)]
-    hi = xs[np.minimum(idx + 1, xs.size - 1)]
-    score = lambda x: x * sorted_ys - u.value(x)
-    arg, val = _golden(score, lo, hi, mode="max")
-    # keep the grid point when the polish landed on a wall plateau
-    grid_val = xs[idx] * sorted_ys - us[idx]
-    take_grid = grid_val >= val
-    arg = np.where(take_grid, xs[idx], arg)
-    val = np.maximum(val, grid_val)
-    out_val = np.empty_like(flat)
-    out_arg = np.empty_like(flat)
-    out_val[order] = val
-    out_arg[order] = arg
-    return out_val.reshape(ys.shape), out_arg.reshape(ys.shape)
+    slopes = np.diff(us) / np.diff(xs)
+    arg, val = _grid_max(u, ys, xs, us, slopes, lambda x, y, ux: x * y - ux)
+    return val, arg
 
 
 def legendre_transform(u: Potential) -> Potential:
@@ -368,38 +369,14 @@ def moreau_yosida(u: Potential, lam: float) -> Potential:
     if lam <= 0:
         raise InvalidInputError("moreau_yosida parameter must be positive")
     xs, us = _eval_grid(u)
+    # minimizing u(y) + (y - t)^2 / (2 lam) maximizes its negation, whose
+    # walk passes index j while t exceeds the cell midpoint + lam * slope
+    breaks = 0.5 * (xs[1:] + xs[:-1]) + lam * (np.diff(us) / np.diff(xs))
+    score = lambda y, t, uy: -(uy + (y - t) ** 2 / (2.0 * lam))
 
     def _prox(ts):
-        ts = np.asarray(ts, dtype=float)
-        flat = ts.ravel()
-        order = np.argsort(flat, kind="stable")
-        st = flat[order]
-        idx = np.empty(st.size, dtype=np.intp)
-        j = 0
-        for k in range(st.size):
-            t = st[k]
-            best = us[j] + (xs[j] - t) ** 2 / (2.0 * lam)
-            while j + 1 < xs.size:
-                cand = us[j + 1] + (xs[j + 1] - t) ** 2 / (2.0 * lam)
-                if cand < best:
-                    best = cand
-                    j += 1
-                else:
-                    break
-            idx[k] = j
-        lo = xs[np.maximum(idx - 1, 0)]
-        hi = xs[np.minimum(idx + 1, xs.size - 1)]
-        score = lambda x: u.value(x) + (x - st) ** 2 / (2.0 * lam)
-        arg, val = _golden(score, lo, hi, mode="min")
-        grid_val = us[idx] + (xs[idx] - st) ** 2 / (2.0 * lam)
-        take_grid = grid_val <= val
-        arg = np.where(take_grid, xs[idx], arg)
-        val = np.minimum(val, grid_val)
-        o_arg = np.empty_like(flat)
-        o_val = np.empty_like(flat)
-        o_arg[order] = arg
-        o_val[order] = val
-        return o_arg.reshape(ts.shape), o_val.reshape(ts.shape)
+        arg, val = _grid_max(u, ts, xs, us, breaks, score)
+        return arg, -val
 
     fn = lambda x: _prox(x)[1]
     deriv = lambda x: (np.asarray(x, dtype=float) - _prox(x)[0]) / lam
@@ -409,18 +386,40 @@ def moreau_yosida(u: Potential, lam: float) -> Potential:
                      label=f"my({u.label},lam={lam:g})")
 
 
-def fenchel_young_gap(f: Potential, g: Potential, box: float, n: int = 256) -> float:
+def lattice_floor(gap, x_domain, y_domain, box: float, what: str,
+                  n: int = LATTICE_POINTS) -> float:
+    """Certify gap(x, y) >= 0 on an n-by-n lattice; return its minimum.
+
+    The lattice axes cover each domain (lo, hi) cut to [-box, box].
+    ``gap(xs, ys)`` returns the table over the two 1-d axes.  NaN entries
+    (inf - inf) count as +inf, so they never certify and never hide a
+    violation.  A minimum below -1e-9 (1 + box^2) raises
+    ``HypothesisError`` with the witness (x, y, gap) there.
+    """
+    xs = np.linspace(max(x_domain[0], -box), min(x_domain[1], box), n)
+    ys = np.linspace(max(y_domain[0], -box), min(y_domain[1], box), n)
+    if xs[-1] <= xs[0] or ys[-1] <= ys[0]:
+        raise InvalidInputError("lattice does not meet the potential domains")
+    table = gap(xs, ys)
+    table = np.where(np.isnan(table), np.inf, table)
+    i, j = np.unravel_index(int(np.argmin(table)), table.shape)
+    floor = float(table[i, j])
+    if floor < -1e-9 * (1.0 + box * box):
+        raise HypothesisError(
+            f"{what} fails at (x, y) = ({xs[i]:.6g}, {ys[j]:.6g}): gap = {floor:.3e}",
+            witness=(float(xs[i]), float(ys[j]), floor))
+    return floor
+
+
+def fenchel_young_gap(f: Potential, g: Potential, box: float,
+                      n: int = LATTICE_POINTS) -> float:
     """Minimum of f(x) + g(y) - x y over an n-by-n lattice on [-box, box]^2.
 
     Lattice points outside either domain contribute +inf and never win the
-    minimum; a nonnegative result certifies the duality hypothesis at lattice
-    resolution.
+    minimum.  The result is the certified floor of the duality hypothesis
+    at lattice resolution; a violation raises ``HypothesisError`` (see
+    :func:`lattice_floor`).
     """
-    xs = np.linspace(max(f.domain_lo, -box), min(f.domain_hi, box), n)
-    ys = np.linspace(max(g.domain_lo, -box), min(g.domain_hi, box), n)
-    if xs[-1] <= xs[0] or ys[-1] <= ys[0]:
-        raise InvalidInputError("lattice does not meet the potential domains")
-    fv = f.value(xs)
-    gv = g.value(ys)
-    gap = fv[:, None] + gv[None, :] - xs[:, None] * ys[None, :]
-    return float(np.min(gap))
+    return lattice_floor(
+        lambda xs, ys: f.value(xs)[:, None] + g.value(ys)[None, :] - xs[:, None] * ys[None, :],
+        (f.domain_lo, f.domain_hi), (g.domain_lo, g.domain_hi), box, "duality", n)

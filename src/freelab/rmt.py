@@ -21,10 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equilibrium import EquilibriumResult, solve_equilibrium
-from .errors import HypothesisError, InvalidInputError, SolverError
+from .errors import InvalidInputError, SolverError
 from .logpotential import integrate_potential
 from .measures import GridMeasure
-from .potentials import Potential, quadratic
+from .potentials import Potential, fenchel_young_gap, quadratic
 
 __all__ = [
     "ConvergenceSeries",
@@ -304,19 +304,6 @@ def micro_pressure_estimate(u: Potential, R: float, N: int, seed: int = 0,
     return estimate
 
 
-def _lattice_floor(f: Potential, g: Potential, box: float):
-    xs = np.linspace(max(f.domain_lo, -box), min(f.domain_hi, box), 256)
-    ys = np.linspace(max(g.domain_lo, -box), min(g.domain_hi, box), 256)
-    gap = f.value(xs)[:, None] + g.value(ys)[None, :] - xs[:, None] * ys[None, :]
-    gap = np.where(np.isnan(gap), np.inf, gap)
-    i, j = np.unravel_index(int(np.argmin(gap)), gap.shape)
-    if gap[i, j] < -1e-9 * (1.0 + box * box):
-        raise HypothesisError(
-            f"duality fails at (x, y) = ({xs[i]:.6g}, {ys[j]:.6g}): "
-            f"f(x) + g(y) - xy = {gap[i, j]:.3e}",
-            witness=(float(xs[i]), float(ys[j]), float(gap[i, j])))
-
-
 def matrix_fenchel_young_check(f: Potential, g: Potential, N: int,
                                trials: int, seed: int = 0) -> float:
     """Minimum of tr_N f(X) + tr_N g(Y) - tr_N(XY) over random matrix pairs.
@@ -327,7 +314,7 @@ def matrix_fenchel_young_check(f: Potential, g: Potential, N: int,
     """
     if N < 1 or trials < 1:
         raise InvalidInputError("need N >= 1 and at least one trial")
-    _lattice_floor(f, g, box=4.0)
+    fenchel_young_gap(f, g, box=4.0)
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     worst = np.inf
     for _ in range(trials):

@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
 
-from freelab.errors import InvalidInputError
+from freelab.errors import HypothesisError, InvalidInputError
 from freelab.potentials import (
     Potential,
+    _eval_grid,
+    _grid_index,
     abs_potential,
     arcsine_indicator,
     fenchel_young_gap,
+    lattice_floor,
     legendre_transform,
+    linear_halfline,
     moreau_yosida,
     polynomial_even,
     quadratic,
@@ -151,3 +155,73 @@ def test_conjugate_derivative_is_monotone():
     f = legendre_transform(polynomial_even(0.5, 0.25))
     ys = np.linspace(-5.0, 5.0, 41)
     assert np.all(np.diff(f.d(ys)) > -1e-9)
+
+
+def _double_well():
+    return Potential(fn=lambda x: 0.25 * x ** 4 - x ** 2, deriv=None,
+                     domain_lo=-np.inf, domain_hi=np.inf,
+                     is_convex=False, growth_ok=True, label="double-well")
+
+
+def test_moreau_yosida_of_double_well_is_the_global_minimum():
+    # u + (y - t)^2 / 2 has two wells; a pointer walk from the left stops
+    # in the left one (0.0999 too high at t = 0.05)
+    m = moreau_yosida(_double_well(), 1.0)
+    ys = np.linspace(-4.0, 4.0, 1_200_001)
+    for t in (-2.0, -0.5, 0.0, 0.05, 0.5, 2.0):
+        brute = np.min(0.25 * ys ** 4 - ys ** 2 + 0.5 * (ys - t) ** 2)
+        assert abs(m.value(t) - brute) < 1e-9
+
+
+def _selection_cases():
+    for u in (quadratic(1.0), quartic(0.25), abs_potential(),
+              arcsine_indicator(1.0), linear_halfline(1.0)):
+        xs, us = _eval_grid(u)
+        slopes = np.diff(us) / np.diff(xs)
+        yield u.label, xs, us, slopes, lambda x, y, ux: x * y - ux
+        for lam in (0.3, 1.0):
+            breaks = 0.5 * (xs[1:] + xs[:-1]) + lam * slopes
+            yield (f"my({u.label},{lam})", xs, us, breaks,
+                   lambda y, t, uy, lam=lam: -(uy + (y - t) ** 2 / (2.0 * lam)))
+
+
+def test_break_point_selection_matches_full_argmax():
+    # unsorted queries with repeats, kink and plateau values among them
+    rng = np.random.default_rng(5)
+    ts = rng.uniform(-3.0, 3.0, size=160)
+    ts = np.concatenate([ts, ts[:40], [0.0, 0.0, 1.0, -1.0, 1.0]])
+    rng.shuffle(ts)
+    for label, xs, us, breaks, score in _selection_cases():
+        idx = _grid_index(ts, xs, us, breaks, score, convex=True)
+        table = score(xs[None, :], ts[:, None], us[None, :])
+        best = table.max(axis=1)
+        chosen = table[np.arange(ts.size), idx]
+        # near-ties may pick the neighbouring index: compare scores
+        assert np.all(np.abs(chosen - best) <= 1e-12 * np.maximum(1.0, np.abs(best))), label
+
+
+def test_lattice_floor_nan_never_certifies():
+    def gap(xs, ys):
+        table = np.ones((xs.size, ys.size))
+        table[0, 0] = np.nan
+        table[3, 5] = -0.5
+        return table
+
+    with pytest.raises(HypothesisError) as err:
+        lattice_floor(gap, (-1.0, 1.0), (-2.0, np.inf), 1.5, "test bound")
+    xs = np.linspace(-1.0, 1.0, 256)
+    ys = np.linspace(-1.5, 1.5, 256)
+    assert err.value.witness == (xs[3], ys[5], -0.5)
+
+
+def test_fenchel_young_gap_raises_past_a_nan_row():
+    # f is NaN on the first lattice row; x^2/4 + y^2/4 - xy still dips
+    # below zero along the diagonal
+    f = Potential(fn=lambda x: np.where(x < -3.9, np.nan, 0.25 * x * x),
+                  deriv=None, domain_lo=-np.inf, domain_hi=np.inf,
+                  is_convex=False, growth_ok=True, label="nan-row")
+    with pytest.raises(HypothesisError) as err:
+        fenchel_young_gap(f, quadratic(0.5), box=4.0)
+    x, y, floor = err.value.witness
+    assert floor < 0.0
+    assert x == y
