@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import re
 import sys
@@ -302,23 +303,26 @@ def _settings(config: RunConfig) -> SolverSettings:
 
 def _float_token(x) -> str:
     x = float(x)
-    if np.isnan(x):
+    if math.isnan(x):
         return '"nan"'
-    if np.isinf(x):
+    if math.isinf(x):
         return '"infinity"' if x > 0 else '"neg_infinity"'
     return "%.17g" % x
 
 
 def _float_cell(x) -> str:
     x = float(x)
-    if np.isnan(x):
+    if math.isnan(x):
         return "nan"
-    if np.isinf(x):
+    if math.isinf(x):
         return "infinity" if x > 0 else "neg_infinity"
     return "%.17g" % x
 
 
 def _json_text(obj, indent: int = 0) -> str:
+    # floats first: most leaves are floats, and the Mapping check is slow
+    if isinstance(obj, float):
+        return _float_token(obj)
     pad = "  " * indent
     if isinstance(obj, Mapping):
         if not obj:
@@ -330,7 +334,8 @@ def _json_text(obj, indent: int = 0) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        if all(not isinstance(v, (Mapping, list, tuple)) for v in obj):
+        if all(isinstance(v, float) or not isinstance(v, (Mapping, list, tuple))
+               for v in obj):
             return "[" + ", ".join(_json_text(v) for v in obj) + "]"
         body = ",\n".join(f"{pad}  {_json_text(v, indent + 1)}" for v in obj)
         return "[\n" + body + "\n" + pad + "]"

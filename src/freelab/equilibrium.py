@@ -11,11 +11,16 @@ measured from the right edge, the density in theta is
 log(r/2) - 2 sum tau_k^2 / k.  Soft edges determine (m, r) through the two
 endpoint conditions of u'; hard edges pin an endpoint at the domain wall and
 the one remaining soft-edge condition (if any) is solved by bracketing.
+
+The Euler-Lagrange and Schwinger-Dyson residuals of a solve are
+diagnostics: an :class:`EquilibriumResult` computes each on first read and
+caches it, so solves whose residuals nobody reads never pay for them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.fft import dct, dst
@@ -60,18 +65,31 @@ class SolverSettings:
 
 @dataclass(frozen=True)
 class EquilibriumResult:
+    """A solved equilibrium measure and its scalar summaries.
+
+    ``el_residual`` and ``sd_residual`` are computed on first read from
+    the measure and the potential, then cached on the instance.
+    """
+
     measure: GridMeasure
     support_lo: float
     support_hi: float
     el_constant: float
-    el_residual: float
-    sd_residual: float
     pressure: float
     iterations: int
     method: str
     converged: bool
     energy: float            # log-energy of the measure, from the tau series
     potential_moment: float  # int u d(nu)
+    potential: Potential = field(repr=False, compare=False)
+
+    @cached_property
+    def el_residual(self) -> float:
+        return float(euler_lagrange_residual(self.measure, self.potential))
+
+    @cached_property
+    def sd_residual(self) -> float:
+        return float(schwinger_dyson_residual(self.measure, self.potential))
 
 
 @dataclass(frozen=True)
@@ -254,14 +272,11 @@ def _assemble(u, m, r, tau, method, iterations, cfg) -> EquilibriumResult:
     pot_moment = float((np.pi / tau.size) * np.sum(pot_vals * dens))
     pressure = energy + 0.75 + HALF_LOG_2PI - pot_moment
     el_constant = pot_moment - 2.0 * energy
-    el_res = euler_lagrange_residual(measure, u)
-    sd_res = schwinger_dyson_residual(measure, u)
     return EquilibriumResult(
         measure=measure, support_lo=float(m - r), support_hi=float(m + r),
-        el_constant=el_constant, el_residual=float(el_res),
-        sd_residual=float(sd_res), pressure=float(pressure),
+        el_constant=el_constant, pressure=float(pressure),
         iterations=iterations, method=method, converged=True,
-        energy=energy, potential_moment=pot_moment)
+        energy=energy, potential_moment=pot_moment, potential=u)
 
 
 def solve_equilibrium(u: Potential, cfg: SolverSettings | None = None) -> EquilibriumResult:

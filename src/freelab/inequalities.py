@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import cache
 from types import MappingProxyType
 from typing import Mapping
 
@@ -145,6 +146,18 @@ def _entropy(res) -> float:
 _SIGMA = make_semicircular()
 
 
+@cache
+def _sigma_entropy() -> float:
+    # _SIGMA never changes; its entropy is computed once, on first use
+    return float(relative_entropy_semicircular(_SIGMA))
+
+
+def _rel_entropy(mu: GridMeasure) -> float:
+    if mu is _SIGMA:
+        return _sigma_entropy()
+    return float(relative_entropy_semicircular(mu))
+
+
 def _free_talagrand(inputs, cfg):
     # the nu-against-sigma specialization of SSFTI, routed through the same
     # code so the two reports agree to roundoff
@@ -157,8 +170,7 @@ def _ssfti(inputs, cfg):
     nu = _measure(inputs, "nu")
     _require_centered("mu", mu.barycenter())
     lhs = w2(mu, nu).cost_squared
-    rhs = 2.0 * float(relative_entropy_semicircular(mu)) \
-        + 2.0 * float(relative_entropy_semicircular(nu))
+    rhs = 2.0 * _rel_entropy(mu) + 2.0 * _rel_entropy(nu)
     return lhs, rhs, {}, TRANSPORT_POINTS
 
 

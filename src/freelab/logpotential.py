@@ -58,6 +58,8 @@ HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
 _TINY = 1e-300
 # rows per block of the log-kernel sum
 _BLOCK = 128
+# interior points per batch of the Hilbert transform; bounds its temporaries
+_HILBERT_BATCH = 8
 
 
 @dataclass(frozen=True)
@@ -163,40 +165,40 @@ def relative_entropy_semicircular(mu: GridMeasure, cells: int = ENERGY_CELLS) ->
     return EnergyValue(0.5 * moment(mu, 2) - c.value + HALF_LOG_2PI, c.error_est)
 
 
-def _hilbert_side(spline, t, sstar, qs, lo, hi, cells):
-    """Regularized integral of 1/(t - Q(s)) + 1/(qs (s - sstar)) on [lo, hi].
+def _hilbert_side(spline, ts, sstar, qs, lo, hi, cells):
+    """Regularized integral of 1/(t - Q(s)) + 1/(qs (s - sstar)) on [lo, hi],
+    one row per probe t.
 
     Q comes from a smooth spline of the quantile table: the two terms cancel
     near sstar and a merely piecewise-linear Q would leak interpolation
     error through the 1/(t - Q)^2 amplification.  The grading clusters
-    nodes at sstar and at the outer support edge.
+    nodes at sstar and at the outer support edge.  The spline is called
+    once for all rows, and each row is reduced by its own dot product.
     """
-    if hi - lo < 1e-14:
-        return 0.0
-    bounds = lo + (hi - lo) * cosine_graded(cells)
-    h = np.diff(bounds)
-    sub = (bounds[:-1, None] + h[:, None] * GL4_T[None, :]).ravel()
-    wts = (h[:, None] * GL4_W[None, :]).ravel()
-    ds = sub - sstar
-    qv = spline(sub)
-    dq = t - qv
+    bounds = lo[:, None] + (hi - lo)[:, None] * cosine_graded(cells)
+    h = np.diff(bounds, axis=1)
+    sub = (bounds[:, :-1, None] + h[:, :, None] * GL4_T).reshape(ts.size, -1)
+    wts = (h[:, :, None] * GL4_W).reshape(ts.size, -1)
+    ds = sub - sstar[:, None]
+    qv = spline(sub.ravel()).reshape(sub.shape)
+    dq = ts[:, None] - qv
     safe_dq = np.where(np.abs(dq) > _TINY, dq, _TINY)
     safe_ds = np.where(np.abs(ds) > _TINY, ds, _TINY)
-    g = 1.0 / safe_dq + 1.0 / (qs * safe_ds)
+    g = 1.0 / safe_dq + 1.0 / (qs[:, None] * safe_ds)
     g = np.where(np.abs(ds) < 1e-11, 0.0, g)  # vanishing-measure core
-    return float(wts @ g)
+    return np.array([0.0 if hi[i] - lo[i] < 1e-14 else float(wts[i] @ g[i])
+                     for i in range(ts.size)])
 
 
-def _hilbert_inside(mu: GridMeasure, t: float, cells: int, spline) -> float:
-    sstar = float(np.interp(t, mu.quantile_xs, mu.quantile_ps))
-    dspline = spline.derivative()
+def _hilbert_inside(mu: GridMeasure, ts: np.ndarray, cells: int, spline, dspline) -> np.ndarray:
+    sstar = np.interp(ts, mu.quantile_xs, mu.quantile_ps)
     for _ in range(3):
-        sstar -= float(spline(sstar) - t) / max(float(dspline(sstar)), _TINY)
-        sstar = min(max(sstar, 0.0), 1.0)
-    qs = float(dspline(sstar))
+        sstar = sstar - (spline(sstar) - ts) / np.maximum(dspline(sstar), _TINY)
+        sstar = np.minimum(np.maximum(sstar, 0.0), 1.0)
+    qs = dspline(sstar)
     half = max(cells // 2, 64)
-    left = _hilbert_side(spline, t, sstar, qs, 0.0, sstar, half)
-    right = _hilbert_side(spline, t, sstar, qs, sstar, 1.0, half)
+    left = _hilbert_side(spline, ts, sstar, qs, np.zeros_like(sstar), sstar, half)
+    right = _hilbert_side(spline, ts, sstar, qs, sstar, np.ones_like(sstar), half)
     pv_tail = -np.log((1.0 - sstar) / sstar) / qs
     return (left + right + pv_tail) / np.pi
 
@@ -205,29 +207,34 @@ def hilbert_transform(mu: GridMeasure, t, cells: int = 4096):
     """Hilbert transform (1/pi) PV int dmu(y) / (t - y).
 
     Accepts scalars or arrays.  Points inside the support are handled by a
-    singularity subtraction in quantile coordinates; evaluation too close to
-    a support endpoint raises :class:`SingularEvaluationError`.
+    singularity subtraction in quantile coordinates, _HILBERT_BATCH points
+    at a time; evaluation too close to a support endpoint raises
+    :class:`SingularEvaluationError` before anything is computed.
     """
     ts = np.atleast_1d(np.asarray(t, dtype=float))
+    flat = ts.ravel()
     scale = 1.0 + mu.radius
     edge_tol = 1e-8 * scale
-    out = np.empty(ts.shape)
-    glt, glw = gauss_legendre_01()
-    q_outside = None
-    spline = None
-    for i, ti in enumerate(ts.ravel()):
-        if abs(ti - mu.support_lo) < edge_tol or abs(ti - mu.support_hi) < edge_tol:
-            raise SingularEvaluationError(
-                f"hilbert transform at a support endpoint: t={ti:g}")
-        if mu.support_lo < ti < mu.support_hi:
-            if spline is None:
-                spline = CubicSpline(mu.quantile_ps, mu.quantile_xs)
-            out.ravel()[i] = _hilbert_inside(mu, ti, cells, spline)
-        else:
-            if q_outside is None:
-                q_outside = mu.quantile(glt)
-            out.ravel()[i] = float(glw @ (1.0 / (ti - q_outside))) / np.pi
-    return out if np.ndim(t) else float(out[0])
+    at_edge = (np.abs(flat - mu.support_lo) < edge_tol) | (np.abs(flat - mu.support_hi) < edge_tol)
+    if np.any(at_edge):
+        raise SingularEvaluationError(
+            f"hilbert transform at a support endpoint: t={flat[np.argmax(at_edge)]:g}")
+    out = np.empty(flat.shape)
+    inside = (mu.support_lo < flat) & (flat < mu.support_hi)
+    rows = np.flatnonzero(inside)
+    if rows.size:
+        spline = CubicSpline(mu.quantile_ps, mu.quantile_xs)
+        dspline = spline.derivative()
+        for s in range(0, rows.size, _HILBERT_BATCH):
+            block = rows[s:s + _HILBERT_BATCH]
+            out[block] = _hilbert_inside(mu, flat[block], cells, spline, dspline)
+    rows = np.flatnonzero(~inside)
+    if rows.size:
+        glt, glw = gauss_legendre_01()
+        q_outside = mu.quantile(glt)
+        for i in rows:
+            out[i] = float(glw @ (1.0 / (flat[i] - q_outside))) / np.pi
+    return out.reshape(ts.shape) if np.ndim(t) else float(out[0])
 
 
 def log_jacobian(mu: GridMeasure, u: Potential, cells: int = ENERGY_CELLS) -> EnergyValue:

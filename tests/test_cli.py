@@ -452,3 +452,15 @@ def test_versioned_manifest_covers_every_kind():
                 parse_measure(spec)
             else:
                 parse_potential(spec)
+
+
+def test_python_dash_m_freelab_runs_from_a_checkout():
+    import subprocess
+    import sys
+
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    proc = subprocess.run([sys.executable, "-m", "freelab", "--help"], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: freelab")

@@ -344,3 +344,47 @@ def test_particle_oracle_validates_then_checks_quartic():
     b_quartic = _extrapolated_edge(quartic(0.25), -1.4, 1.4)
     res = solve_equilibrium(quartic(0.25))
     assert abs(b_quartic - res.support_hi) < 1e-3
+
+
+def _count_residual_calls(monkeypatch):
+    import freelab.equilibrium as eq_mod
+
+    calls = {"el": 0, "sd": 0}
+    el, sd = eq_mod.euler_lagrange_residual, eq_mod.schwinger_dyson_residual
+
+    def counted_el(*args, **kwargs):
+        calls["el"] += 1
+        return el(*args, **kwargs)
+
+    def counted_sd(*args, **kwargs):
+        calls["sd"] += 1
+        return sd(*args, **kwargs)
+
+    monkeypatch.setattr(eq_mod, "euler_lagrange_residual", counted_el)
+    monkeypatch.setattr(eq_mod, "schwinger_dyson_residual", counted_sd)
+    return calls
+
+
+def test_solves_that_never_read_residuals_never_compute_them(monkeypatch):
+    from freelab.inequalities import verify
+
+    calls = _count_residual_calls(monkeypatch)
+    solve_equilibrium(quartic(0.25))
+    free_pressure(quadratic(2.0))
+    moment_map(make_semicircular(variance=1.5))
+    verify("INVERSE_FREE_LSI", {"f": quartic(0.25)})
+    assert calls == {"el": 0, "sd": 0}
+
+
+def test_residuals_are_computed_on_first_read_and_cached(monkeypatch):
+    from freelab.logpotential import euler_lagrange_residual, schwinger_dyson_residual
+
+    u = quartic(0.25)
+    calls = _count_residual_calls(monkeypatch)
+    res = solve_equilibrium(u)
+    assert res.el_residual == euler_lagrange_residual(res.measure, u)
+    assert res.sd_residual == schwinger_dyson_residual(res.measure, u)
+    assert calls == {"el": 1, "sd": 1}
+    assert res.el_residual == euler_lagrange_residual(res.measure, u)
+    assert res.sd_residual == schwinger_dyson_residual(res.measure, u)
+    assert calls == {"el": 1, "sd": 1}

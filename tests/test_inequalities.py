@@ -417,3 +417,26 @@ def test_reports_carry_labels_and_timing():
     assert r.runtime_ms >= 0
     with pytest.raises(TypeError):
         r.inputs["mu"] = "other"
+
+
+def test_free_talagrand_computes_sigma_entropy_once(monkeypatch):
+    import dataclasses
+
+    import freelab.inequalities as ineq
+
+    sigma_calls = []
+    original = ineq.relative_entropy_semicircular
+
+    def counted(mu, *args, **kwargs):
+        if mu is ineq._SIGMA:
+            sigma_calls.append(mu)
+        return original(mu, *args, **kwargs)
+
+    monkeypatch.setattr(ineq, "relative_entropy_semicircular", counted)
+    ineq._sigma_entropy.cache_clear()
+    mu = make_semicircular(variance=1.5)
+    first = verify("FREE_TALAGRAND", {"mu": mu})
+    second = verify("FREE_TALAGRAND", {"mu": mu})
+    assert len(sigma_calls) == 1
+    assert dataclasses.replace(first, runtime_ms=0) == dataclasses.replace(second, runtime_ms=0)
+    assert first.rhs == 2.0 * float(original(ineq._SIGMA)) + 2.0 * float(original(mu))

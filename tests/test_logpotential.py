@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from freelab._grids import GL2_T, GL2_W, cosine_graded
+from scipy.interpolate import CubicSpline
+
+from freelab._grids import GL2_T, GL2_W, GL4_T, GL4_W, cosine_graded, gauss_legendre_01
 from freelab.errors import InvalidInputError, SingularEvaluationError
 from freelab.logpotential import (
     TOL_DOUBLE_QUAD,
@@ -128,6 +130,72 @@ def test_hilbert_transform_rejects_endpoints():
     sig = make_semicircular()
     with pytest.raises(SingularEvaluationError):
         hilbert_transform(sig, 2.0)
+
+
+def _hilbert_one_point(mu, t, cells=4096):
+    """The Hilbert transform rule, one point at a time."""
+    if not mu.support_lo < t < mu.support_hi:
+        glt, glw = gauss_legendre_01()
+        return float(glw @ (1.0 / (t - mu.quantile(glt)))) / np.pi
+    spline = CubicSpline(mu.quantile_ps, mu.quantile_xs)
+    dspline = spline.derivative()
+    sstar = float(np.interp(t, mu.quantile_xs, mu.quantile_ps))
+    for _ in range(3):
+        sstar -= float(spline(sstar) - t) / max(float(dspline(sstar)), 1e-300)
+        sstar = min(max(sstar, 0.0), 1.0)
+    qs = float(dspline(sstar))
+
+    def side(lo, hi):
+        if hi - lo < 1e-14:
+            return 0.0
+        bounds = lo + (hi - lo) * cosine_graded(max(cells // 2, 64))
+        h = np.diff(bounds)
+        sub = (bounds[:-1, None] + h[:, None] * GL4_T[None, :]).ravel()
+        wts = (h[:, None] * GL4_W[None, :]).ravel()
+        ds = sub - sstar
+        dq = t - spline(sub)
+        safe_dq = np.where(np.abs(dq) > 1e-300, dq, 1e-300)
+        safe_ds = np.where(np.abs(ds) > 1e-300, ds, 1e-300)
+        g = 1.0 / safe_dq + 1.0 / (qs * safe_ds)
+        g = np.where(np.abs(ds) < 1e-11, 0.0, g)
+        return float(wts @ g)
+
+    pv_tail = -np.log((1.0 - sstar) / sstar) / qs
+    return (side(0.0, sstar) + side(sstar, 1.0) + pv_tail) / np.pi
+
+
+def test_batched_hilbert_transform_matches_one_point_rule_bitwise():
+    from freelab.equilibrium import solve_equilibrium
+    from freelab.potentials import abs_potential, linear_halfline
+
+    measures = [make_semicircular(), make_marchenko_pastur_family(1.0)] + [
+        solve_equilibrium(u).measure
+        for u in (quartic(0.25), abs_potential(), linear_halfline(1.5))]
+    for mu in measures:
+        # 19 interior points, so two full batches and a partial one,
+        # with points outside the support interleaved
+        inner = mu.quantile(np.linspace(0.03, 0.97, 19))
+        ts = np.insert(inner, [0, 7, 19], [mu.support_lo - 0.5, mu.support_hi + 1.0,
+                                           mu.support_hi + 3.0])
+        got = hilbert_transform(mu, ts)
+        want = np.array([_hilbert_one_point(mu, t) for t in ts])
+        assert np.array_equal(got, want), mu.label
+        grid = hilbert_transform(mu, ts[:20].reshape(4, 5))
+        assert grid.shape == (4, 5) and np.array_equal(grid.ravel(), want[:20])
+        scalar = hilbert_transform(mu, float(inner[4]))
+        assert isinstance(scalar, float) and scalar == _hilbert_one_point(mu, inner[4])
+
+
+def test_hilbert_transform_checks_endpoints_before_any_work(monkeypatch):
+    import freelab.logpotential as lp
+
+    def no_spline(*args, **kwargs):
+        raise AssertionError("interior work started before the endpoint check")
+
+    monkeypatch.setattr(lp, "CubicSpline", no_spline)
+    sig = make_semicircular()
+    with pytest.raises(SingularEvaluationError, match="t=-2"):
+        hilbert_transform(sig, np.array([0.1, 0.5, -2.0, 2.0]))
 
 
 def test_euler_lagrange_residual_on_equilibria():
