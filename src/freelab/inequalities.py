@@ -189,8 +189,7 @@ def _inverse_free_lsi(inputs, cfg):
     _require_convex(u)
     res = solve_equilibrium(u, cfg)
     lhs = (HALF_LOG_2PI + 0.5) - _entropy(res)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        jac = float(log_jacobian(res.measure, u))
+    jac = float(log_jacobian(res.measure, u))
     # flat stretches of u' push mass onto atoms: the image energy diverges
     # to -inf and the quadrature reports nan; the bound then holds trivially
     rhs = 0.5 * jac if np.isfinite(jac) else -np.inf

@@ -226,10 +226,10 @@ def test_cli_equilibrium_rejects_unmet_tolerance(capsys):
 
 
 def test_cli_verify_failure_exits_one(capsys):
-    # the grid sigma carries ~1e-6 of entropy, so an overtight tolerance
-    # turns the equality case into an honest FAIL report
-    code = main(["verify", "free_talagrand", "--mu", "semicircle:mean=0,var=1",
-                 "--tol", "1e-9"])
+    # mu passes the centering check (|mean| < 1e-8), but SSFTI needs an exact
+    # barycenter: its exact deficit here is 2 m_mu m_nu = -1.8e-6
+    code = main(["verify", "ssfti", "--mu", "semicircle:mean=-9e-9,var=1",
+                 "--nu", "semicircle:mean=100,var=1", "--tol", "1e-9"])
     assert code == 1
     assert "FAIL" in capsys.readouterr().out
 
@@ -400,7 +400,9 @@ def test_verify_suite_is_byte_deterministic(tmp_path, monkeypatch):
 
 def test_verify_suite_failed_report_exits_one(tmp_path, capsys):
     manifest = tmp_path / "m.csv"
-    _write_manifest(manifest, [["free_talagrand", "mu=semicircle:mean=0,var=1"]])
+    # off equality by 2 m_mu m_nu = -1.8e-6; mu passes the centering check
+    _write_manifest(manifest, [["ssfti", "mu=semicircle:mean=-9e-9,var=1",
+                                "nu=semicircle:mean=100,var=1"]])
     code = main(["verify-suite", "--manifest", str(manifest),
                  "--tol", "1e-12", "--out", str(tmp_path / "s.csv")])
     assert code == 1

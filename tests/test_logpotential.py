@@ -3,7 +3,7 @@ import pytest
 
 from scipy.interpolate import CubicSpline
 
-from freelab._grids import GL2_T, GL2_W, GL4_T, GL4_W, cosine_graded, gauss_legendre_01
+from freelab._grids import ENERGY_CELLS, GL2_T, GL2_W, GL4_T, GL4_W, cosine_graded, gauss_legendre_01
 from freelab.errors import InvalidInputError, SingularEvaluationError
 from freelab.logpotential import (
     TOL_DOUBLE_QUAD,
@@ -23,9 +23,17 @@ from freelab.measures import (
     make_arcsine,
     make_marchenko_pastur_family,
     make_semicircular,
+    pushforward_monotone,
     translate,
 )
-from freelab.potentials import arcsine_indicator, quadratic, quartic
+from freelab.potentials import (
+    abs_potential,
+    arcsine_indicator,
+    linear_halfline,
+    polynomial_even,
+    quadratic,
+    quartic,
+)
 
 HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
 
@@ -275,3 +283,58 @@ def test_blocked_energy_matches_dense_rule():
                translate(make_arcsine(2.0), 0.5)):
         for cells in (100, 301):
             assert abs(_energy_at(mu, cells) - _dense_energy(mu, cells)) < 1e-13
+
+
+def test_series_energy_matches_closed_forms_with_honest_estimates():
+    # E(semicircle of variance v) = log(v)/2 - 1/4, E(arcsine(R)) = log(R/2),
+    # E(mp(c)) = log(c) - 1/2; all are smooth enough for the series route
+    for mu, exact in ((make_semicircular(), -0.25),
+                      (make_semicircular(variance=0.5), 0.5 * np.log(0.5) - 0.25),
+                      (make_semicircular(variance=2.0), 0.5 * np.log(2.0) - 0.25),
+                      (make_semicircular(mean=-1.5, variance=2.0), 0.5 * np.log(2.0) - 0.25),
+                      (make_arcsine(1.0), -np.log(2.0)),
+                      (translate(make_arcsine(2.0), 0.5), 0.0),
+                      (make_marchenko_pastur_family(1.0), -0.5),
+                      (make_marchenko_pastur_family(2.0), np.log(2.0) - 0.5)):
+        e = log_energy(mu)
+        assert abs(e.value - exact) <= 5e-8, mu.label
+        assert abs(e.value - exact) <= 3.0 * e.error_est + 1e-13, mu.label
+
+
+def test_series_energy_matches_solver_energy():
+    # the solver's energy is the same Chebyshev series, summed from its tau
+    # coefficients without a quantile table
+    from freelab.equilibrium import solve_equilibrium
+
+    for u in (quadratic(1.0), quartic(0.25), polynomial_even(0.5, 0.125),
+              linear_halfline(1.5), arcsine_indicator(2.5)):
+        res = solve_equilibrium(u)
+        assert abs(log_energy(res.measure).value - res.energy) <= 1e-12, u.label
+
+
+def test_log_energy_keeps_quadrature_where_series_does_not_converge():
+    from freelab.equilibrium import solve_equilibrium
+
+    # the quartic u' pushes the equilibrium onto a density with a |y|^(-2/3)
+    # cusp at 0: the series tail is far above its threshold
+    u = quartic(0.25)
+    nu = pushforward_monotone(solve_equilibrium(u).measure, u.d)
+    full, half = _energy_at(nu, ENERGY_CELLS), _energy_at(nu, ENERGY_CELLS // 2)
+    e = log_energy(nu)
+    assert e.value == full
+    assert e.error_est == abs(full - half) / 3.0 + 1e-15
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_log_energy_of_measure_with_atoms_is_quiet_nan():
+    # sign(x) = u'(x) of |x| sends the equilibrium onto atoms at -1 and +1;
+    # the series sees a jump and hands over to the quadrature, which has no
+    # finite value to give
+    from freelab.equilibrium import solve_equilibrium
+
+    u = abs_potential()
+    mu = solve_equilibrium(u).measure
+    assert np.isnan(log_energy(pushforward_monotone(mu, u.d)).value)
+    assert np.isnan(log_jacobian(mu, u).value)
+    clipped = pushforward_monotone(make_semicircular(), lambda x: np.clip(x, -1.0, 1.0))
+    assert np.isnan(log_energy(clipped).value)
