@@ -24,7 +24,9 @@ the off-diagonal part twice, and reduces each block by matrix-vector
 products; only about half of the log evaluations of the full square are
 made.  The energy is evaluated at full and half resolution and the
 difference feeds the error estimate.  Measures with atoms have energy
--inf, which this route reports as nan.
+-inf, which this route reports as nan: two adjacent cells of zero width
+give an atom away before the kernel sum, and the half-resolution pass is
+then skipped.
 
 Either way the error estimate lets downstream tolerances be chosen
 honestly.
@@ -101,6 +103,10 @@ def _energy_at(mu: GridMeasure, cells: int) -> float:
     h = np.diff(ps)
     qb = mu.quantile(ps)
     a = np.maximum(np.diff(qb), _TINY)  # x-width of each cell
+    # two adjacent clamped widths (an atom) make the adjacent-pair term
+    # below 0/0, so the energy is nan whatever the rest sums to
+    if np.any((a[:-1] == _TINY) & (a[1:] == _TINY)):
+        return float("nan")
 
     # subnodes, two per cell
     t = (ps[:-1, None] + h[:, None] * GL2_T[None, :]).ravel()
@@ -126,8 +132,8 @@ def _energy_at(mu: GridMeasure, cells: int) -> float:
     # diagonal cells, locally linear quantile
     total += float(np.sum(h * h * (np.log(a) - 1.5)))
 
-    # adjacent pairs, counted twice by symmetry; two clamped widths (an atom)
-    # give 0/0 here, and the energy is nan
+    # adjacent pairs, counted twice by symmetry; a lone clamped width next
+    # to a tiny one can still underflow aa * bb to 0
     aa, bb = a[:-1], a[1:]
     ab = aa + bb
     j = 0.5 * (ab * ab * np.log(ab) - aa * aa * np.log(aa) - bb * bb * np.log(bb)) \
@@ -159,7 +165,8 @@ def log_energy(mu: GridMeasure, cells: int = ENERGY_CELLS) -> EnergyValue:
     the series of the quantile table with every other row dropped (the end
     rows kept).  Otherwise, and for a support of zero width, runs the
     quadrature at ``cells`` and ``cells // 2`` cells, with error estimate
-    |full - half| / 3; ``cells`` sets only that fallback's resolution.
+    |full - half| / 3; ``cells`` sets only that fallback's resolution.  A
+    nan full pass (atoms) returns nan for both without the half pass.
     """
     ps, xs = mu.quantile_ps, mu.quantile_xs
     if xs[-1] > xs[0]:
@@ -169,6 +176,8 @@ def log_energy(mu: GridMeasure, cells: int = ENERGY_CELLS) -> EnergyValue:
             coarse, _ = _series_energy(ps[rows], xs[rows])
             return EnergyValue(value, abs(value - coarse) / 3.0 + tail + 1e-15)
     full = _energy_at(mu, cells)
+    if np.isnan(full):
+        return EnergyValue(np.nan, np.nan)
     half = _energy_at(mu, cells // 2)
     return EnergyValue(full, abs(full - half) / 3.0 + 1e-15)
 

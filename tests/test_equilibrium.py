@@ -26,6 +26,7 @@ from freelab.potentials import (
     Potential,
     abs_potential,
     arcsine_indicator,
+    legendre_transform,
     linear_halfline,
     polynomial_even,
     quadratic,
@@ -388,3 +389,68 @@ def test_residuals_are_computed_on_first_read_and_cached(monkeypatch):
     assert res.el_residual == euler_lagrange_residual(res.measure, u)
     assert res.sd_residual == schwinger_dyson_residual(res.measure, u)
     assert calls == {"el": 1, "sd": 1}
+
+
+def _tau_series(monkeypatch):
+    """(name, m, r, tau) of five solves, one per edge configuration, read
+    at the solver's call of _cdf_table."""
+    import freelab.equilibrium as eq_mod
+
+    seen = []
+    table = eq_mod._cdf_table
+
+    def recorded(m, r, tau):
+        seen.append((m, r, tau.copy()))
+        return table(m, r, tau)
+
+    monkeypatch.setattr(eq_mod, "_cdf_table", recorded)
+    out = []
+    for name, u, method in (("soft", quartic(0.25), "soft"),
+                            ("kink", abs_potential(), "soft"),
+                            ("wall-left", linear_halfline(1.5), "wall-left"),
+                            ("wall-both", arcsine_indicator(2.5), "wall-both"),
+                            ("legendre", legendre_transform(quadratic(2.0)), "soft")):
+        assert solve_equilibrium(u).method == method, name
+        out.append((name, *seen[-1]))
+    monkeypatch.setattr(eq_mod, "_cdf_table", table)
+    return out
+
+
+def _splice_angles():
+    from freelab.equilibrium import _CDF_GRID
+
+    edge = 8.0 * np.pi / _CDF_GRID * (0.5 * (1.0 - np.cos(np.linspace(0.0, np.pi, 257))))
+    return np.concatenate([edge[1:-1], np.pi - edge[1:-1]])
+
+
+def _direct_sine_sum(coeff, t):
+    return np.sin(np.outer(t, np.arange(1, coeff.size + 1, dtype=float))) @ coeff
+
+
+def test_blocked_sine_sum_matches_the_sine_table(monkeypatch):
+    from freelab.equilibrium import _sine_sum
+
+    t = _splice_angles()
+    for name, _, _, tau in _tau_series(monkeypatch):
+        coeff = tau[1:] / np.arange(1, tau.size)
+        err = np.max(np.abs(_sine_sum(coeff, t) - _direct_sine_sum(coeff, t)))
+        assert err <= 1e-16 * (1.0 + np.sum(np.abs(coeff))), name
+    # partial last block, and fewer modes than one block
+    rng = np.random.default_rng(3)
+    for size in (1, 5, 63, 64, 65, 1000):
+        coeff = rng.standard_normal(size) / np.arange(1, size + 1) ** 2
+        err = np.max(np.abs(_sine_sum(coeff, t) - _direct_sine_sum(coeff, t)))
+        assert err <= 1e-15 * (1.0 + np.sum(np.abs(coeff))), size
+
+
+def test_cdf_table_matches_the_sine_table_splice(monkeypatch):
+    import freelab.equilibrium as eq_mod
+
+    series = _tau_series(monkeypatch)
+    tables = [eq_mod._cdf_table(m, r, tau) for _, m, r, tau in series]
+    monkeypatch.setattr(eq_mod, "_sine_sum", _direct_sine_sum)
+    for (name, m, r, tau), (ps, xs) in zip(series, tables):
+        ref_ps, ref_xs = eq_mod._cdf_table(m, r, tau)
+        assert ps.shape == ref_ps.shape, name
+        assert np.max(np.abs(ps - ref_ps)) <= 1e-15, name
+        assert np.max(np.abs(xs - ref_xs)) <= 1e-15, name

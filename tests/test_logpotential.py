@@ -338,3 +338,29 @@ def test_log_energy_of_measure_with_atoms_is_quiet_nan():
     assert np.isnan(log_jacobian(mu, u).value)
     clipped = pushforward_monotone(make_semicircular(), lambda x: np.clip(x, -1.0, 1.0))
     assert np.isnan(log_energy(clipped).value)
+
+
+def test_quadrature_stops_after_one_pass_at_atoms(monkeypatch):
+    # an atom makes the full pass nan, so the half pass is skipped; a cusp
+    # without atoms keeps both, with the value and estimate checked in
+    # test_log_energy_keeps_quadrature_where_series_does_not_converge
+    import freelab.logpotential as lp_mod
+    from freelab.equilibrium import solve_equilibrium
+
+    calls = []
+    energy_at = lp_mod._energy_at
+
+    def counted(mu, cells):
+        calls.append(cells)
+        return energy_at(mu, cells)
+
+    monkeypatch.setattr(lp_mod, "_energy_at", counted)
+    u = abs_potential()
+    e = log_energy(pushforward_monotone(solve_equilibrium(u).measure, u.d))
+    assert calls == [ENERGY_CELLS]
+    assert np.isnan(e.value) and np.isnan(e.error_est)
+
+    calls.clear()
+    u = quartic(0.25)
+    log_energy(pushforward_monotone(solve_equilibrium(u).measure, u.d))
+    assert calls == [ENERGY_CELLS, ENERGY_CELLS // 2]
