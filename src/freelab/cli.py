@@ -28,7 +28,7 @@ from typing import Mapping
 
 import numpy as np
 
-from ._grids import DEFAULT_NODES
+from ._grids import DEFAULT_NODES, chebyshev_angles
 from .equilibrium import (
     EquilibriumResult,
     SolverSettings,
@@ -157,6 +157,8 @@ def _num_arg(args: dict, key: str, default=None) -> float:
     val = args.pop(key)
     if not isinstance(val, float):
         raise InvalidInputError(f"key {key!r} takes a number, not a nested spec")
+    if not math.isfinite(val):
+        raise InvalidInputError(f"key {key!r} must be finite, got {val!r}")
     return val
 
 
@@ -375,10 +377,15 @@ def _summary_row(report: InequalityReport):
 _SUMMARY_HEADER = ["kind", "inputs", "lhs", "rhs", "deficit", "pass"]
 
 
-def _thin_indices(n: int, cap: int = 1025) -> np.ndarray:
-    if n <= cap:
-        return np.arange(n)
-    return np.unique(np.linspace(0, n - 1, cap).round().astype(int))
+def _density_table(mu: GridMeasure) -> list:
+    """``mu.density_at`` on 4096 Chebyshev nodes of the support, divided by
+    its trapezoid mass and thinned to 1025 (x, density) rows."""
+    lo, hi = mu.support_lo, mu.support_hi
+    nodes = 0.5 * (lo + hi) - 0.5 * (hi - lo) * np.cos(chebyshev_angles(DEFAULT_NODES))
+    rho = mu.density_at(nodes)
+    rho = rho / np.trapezoid(rho, nodes)
+    idx = np.unique(np.linspace(0, nodes.size - 1, 1025).round().astype(int))
+    return [[float(x), float(r)] for x, r in zip(nodes[idx], rho[idx])]
 
 
 def emit_report(report, path: str, format: str = "json", seed: int = 0):
@@ -403,8 +410,7 @@ def emit_report(report, path: str, format: str = "json", seed: int = 0):
         return
     if isinstance(report, EquilibriumResult):
         mu = report.measure
-        idx = _thin_indices(len(mu.nodes))
-        table = [[float(x), float(r)] for x, r in zip(mu.nodes[idx], mu.density[idx])]
+        table = _density_table(mu)
         if format == "csv":
             _write_csv(path, ["x", "density"],
                        [[_float_cell(x), _float_cell(r)] for x, r in table])
@@ -547,9 +553,10 @@ def _cmd_moment_map(config: RunConfig) -> int:
     if config.output_path:
         pad = 0.25 * (res.support_hi - res.support_lo)
         xs = np.linspace(res.support_lo - pad, res.support_hi + pad, 513)
+        us = u.value(xs)
         if config.format == "csv":
             _write_csv(config.output_path, ["x", "u"],
-                       [[_float_cell(x), _float_cell(u.value(x))] for x in xs])
+                       [[_float_cell(x), _float_cell(v)] for x, v in zip(xs, us)])
         else:
             _write_json({
                 "schema_version": SCHEMA_VERSION,
@@ -559,7 +566,7 @@ def _cmd_moment_map(config: RunConfig) -> int:
                 "pressure": res.pressure,
                 "runtime_ms": 0,
                 "seed": config.seed,
-                "potential": [[float(x), float(u.value(x))] for x in xs],
+                "potential": [[float(x), float(v)] for x, v in zip(xs, us)],
             }, config.output_path)
     return 0
 

@@ -1,11 +1,9 @@
 """Compactly supported probability measures on the real line.
 
-A :class:`GridMeasure` carries two coupled representations:
-
-* a density sampled on Chebyshev-angle nodes of its support, convenient for
-  plots and for principal-value integrals, and
-* a monotone quantile table, which is the source of truth for every
-  integration performed by the toolkit.
+A :class:`GridMeasure` is its support and a monotone quantile table.  Every
+integral the toolkit takes (moments, W2, log energies) reads that table, and
+the density, where one is wanted, is the table's derivative
+(:meth:`GridMeasure.density_at`).
 
 Working in quantile coordinates keeps the numerics uniformly accurate at
 square-root and logarithmic edges, where the density itself blows up or
@@ -19,13 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._grids import (
-    DEFAULT_NODES,
-    QUANTILE_CELLS,
-    chebyshev_angles,
-    cosine_graded,
-    gauss_legendre_01,
-)
+from ._grids import QUANTILE_CELLS, cosine_graded, gauss_legendre_01
 from .errors import InvalidInputError
 
 __all__ = [
@@ -45,34 +37,21 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class GridMeasure:
-    """Probability measure with a density grid and a quantile table.
+    """Probability measure given by its monotone quantile table.
 
     Attributes
     ----------
     support_lo, support_hi : float
         Endpoints of the (closed) support interval.
-    nodes : ndarray
-        Ascending interior sample points of the support.
-    density : ndarray
-        Density values at ``nodes``; nonnegative and normalized so the
-        trapezoidal integral over the nodes equals one.
     quantile_ps, quantile_xs : ndarray
         Monotone quantile table with ``quantile_ps[0] == 0`` and
         ``quantile_ps[-1] == 1``; ``quantile_xs`` spans the support.
-    total_mass_error : float
-        Absolute deviation of the raw trapezoidal mass from one, recorded
-        before normalization.  Large values flag a density grid that does
-        not resolve an integrable edge singularity; the quantile table is
-        unaffected.
     """
 
     support_lo: float
     support_hi: float
-    nodes: np.ndarray
-    density: np.ndarray
     quantile_ps: np.ndarray
     quantile_xs: np.ndarray
-    total_mass_error: float
     label: str = "measure"
 
     def quantile(self, p):
@@ -84,10 +63,11 @@ class GridMeasure:
         return np.interp(x, self.quantile_xs, self.quantile_ps, left=0.0, right=1.0)
 
     def density_at(self, x):
-        """Density by differentiation of the quantile table.
+        """Density from the quantile table, zero outside the support.
 
-        More trustworthy than interpolating ``self.density`` for measures
-        whose density grid carries an edge singularity.
+        Each cell of positive width contributes its slope dp/dx at its
+        midpoint, and the density is the linear interpolant of those
+        slopes.  Cells of zero width (atoms) are skipped.
         """
         xs = self.quantile_xs
         ps = self.quantile_ps
@@ -135,23 +115,6 @@ class AtomicMeasure:
         return float(self.points @ self.weights)
 
 
-def _assemble(nodes, density, ps, xs, label) -> GridMeasure:
-    """Normalize the density grid and package a GridMeasure."""
-    raw_mass = float(np.trapezoid(density, nodes))
-    if raw_mass <= 0:
-        raise InvalidInputError("density grid has nonpositive mass")
-    return GridMeasure(
-        support_lo=float(xs[0]),
-        support_hi=float(xs[-1]),
-        nodes=np.asarray(nodes, dtype=float),
-        density=np.asarray(density, dtype=float) / raw_mass,
-        quantile_ps=np.asarray(ps, dtype=float),
-        quantile_xs=np.asarray(xs, dtype=float),
-        total_mass_error=abs(raw_mass - 1.0),
-        label=label,
-    )
-
-
 def _semicircle_theta_of_p(p: np.ndarray) -> np.ndarray:
     # solve (theta - sin(theta)cos(theta))/pi = p by interpolation + Newton
     grid = np.linspace(0.0, np.pi, 32769)
@@ -165,8 +128,7 @@ def _semicircle_theta_of_p(p: np.ndarray) -> np.ndarray:
     return theta
 
 
-def make_semicircular(mean: float = 0.0, variance: float = 1.0,
-                      nodes: int = DEFAULT_NODES) -> GridMeasure:
+def make_semicircular(mean: float = 0.0, variance: float = 1.0) -> GridMeasure:
     """Semicircular law with the given mean and variance.
 
     The support is ``[mean - 2 sqrt(variance), mean + 2 sqrt(variance)]``.
@@ -174,30 +136,24 @@ def make_semicircular(mean: float = 0.0, variance: float = 1.0,
     if variance <= 0:
         raise InvalidInputError("variance must be positive")
     r = 2.0 * np.sqrt(variance)
-    ang = chebyshev_angles(nodes)
-    x = mean - r * np.cos(ang)
-    rho = 2.0 * np.sqrt(np.maximum(r * r - (x - mean) ** 2, 0.0)) / (np.pi * r * r)
     ps = cosine_graded(QUANTILE_CELLS)
     theta = _semicircle_theta_of_p(ps)
     xs = mean - r * np.cos(theta)
-    return _assemble(x, rho, ps, xs, f"semicircle(mean={mean:g},var={variance:g})")
+    return GridMeasure(float(xs[0]), float(xs[-1]), ps, xs,
+                       f"semicircle(mean={mean:g},var={variance:g})")
 
 
-def make_arcsine(radius: float = 1.0, center: float = 0.0,
-                 nodes: int = DEFAULT_NODES) -> GridMeasure:
+def make_arcsine(radius: float = 1.0, center: float = 0.0) -> GridMeasure:
     """Arcsine law on ``[center - radius, center + radius]``."""
     if radius <= 0:
         raise InvalidInputError("radius must be positive")
-    ang = chebyshev_angles(nodes)
-    x = center - radius * np.cos(ang)
-    rho = 1.0 / (np.pi * np.sqrt(np.maximum(radius ** 2 - (x - center) ** 2, 1e-300)))
     ps = cosine_graded(QUANTILE_CELLS)
     xs = center - radius * np.cos(np.pi * ps)  # exact quantile function
-    return _assemble(x, rho, ps, xs, f"arcsine(radius={radius:g},center={center:g})")
+    return GridMeasure(float(xs[0]), float(xs[-1]), ps, xs,
+                       f"arcsine(radius={radius:g},center={center:g})")
 
 
-def make_marchenko_pastur_family(scale: float = 1.0,
-                                 nodes: int = DEFAULT_NODES) -> GridMeasure:
+def make_marchenko_pastur_family(scale: float = 1.0) -> GridMeasure:
     """Square-ratio member of the Marchenko-Pastur family on ``[0, 4*scale]``.
 
     This is the image of the centered semicircular law of variance ``scale``
@@ -206,23 +162,18 @@ def make_marchenko_pastur_family(scale: float = 1.0,
     """
     if scale <= 0:
         raise InvalidInputError("scale must be positive")
-    c = scale
-    hi = 4.0 * c
-    ang = chebyshev_angles(nodes)
-    x = 0.5 * hi * (1.0 - np.cos(ang))
-    rho = np.sqrt(np.maximum(hi - x, 0.0)) / (2.0 * np.pi * c * np.sqrt(np.maximum(x, 1e-300)))
     ps = cosine_graded(QUANTILE_CELLS)
     theta = _semicircle_theta_of_p(0.5 * (1.0 + ps))
-    xs = (2.0 * np.sqrt(c) * np.cos(theta)) ** 2
+    xs = (2.0 * np.sqrt(scale) * np.cos(theta)) ** 2
     xs = np.maximum.accumulate(xs)  # guard monotonicity at roundoff
-    return _assemble(x, rho, ps, xs, f"mp(scale={scale:g})")
+    return GridMeasure(float(xs[0]), float(xs[-1]), ps, xs, f"mp(scale={scale:g})")
 
 
 def from_quantile_table(ps, xs, label: str = "table") -> GridMeasure:
     """Build a measure from a monotone quantile table.
 
-    The density grid is recovered by differencing the table, which is exact
-    up to interpolation wherever the density is continuous.
+    ``ps`` must run from 0 to 1 and both arrays must be nondecreasing.  The
+    arrays are stored as given, and ``xs[0]``, ``xs[-1]`` become the support.
     """
     ps = np.asarray(ps, dtype=float)
     xs = np.asarray(xs, dtype=float)
@@ -235,14 +186,7 @@ def from_quantile_table(ps, xs, label: str = "table") -> GridMeasure:
     lo, hi = float(xs[0]), float(xs[-1])
     if hi - lo <= 0:
         raise InvalidInputError("degenerate support")
-    ang = chebyshev_angles(DEFAULT_NODES)
-    nodes = 0.5 * (lo + hi) - 0.5 * (hi - lo) * np.cos(ang)
-    dx = np.diff(xs)
-    keep = dx > 1e-300
-    mid = 0.5 * (xs[1:] + xs[:-1])[keep]
-    slope = (np.diff(ps)[keep]) / dx[keep]
-    rho = np.interp(nodes, mid, slope)
-    return _assemble(nodes, np.maximum(rho, 0.0), ps, xs, label)
+    return GridMeasure(lo, hi, ps, xs, label)
 
 
 def from_density_table(xs, density, label: str = "table") -> GridMeasure:
@@ -281,7 +225,6 @@ def translate(mu: GridMeasure, a: float) -> GridMeasure:
         mu,
         support_lo=mu.support_lo + a,
         support_hi=mu.support_hi + a,
-        nodes=mu.nodes + a,
         quantile_xs=mu.quantile_xs + a,
         label=f"translate({mu.label},{a:g})",
     )

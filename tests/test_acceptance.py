@@ -54,7 +54,7 @@ def _line(number, name, failures):
 def test_criterion_1_entropy_constants():
     failures = []
     start = time.perf_counter()
-    value = float(chi(make_semicircular(nodes=4096)))
+    value = float(chi(make_semicircular()))
     elapsed_chi = time.perf_counter() - start
     target = 0.5 * np.log(2.0 * np.pi * np.e)
     if abs(value - target) >= 1e-5:

@@ -14,6 +14,7 @@ from freelab.cli import (
     parse_potential,
 )
 from freelab.cli import _read_manifest
+from freelab.equilibrium import SolverSettings, moment_map
 from freelab.errors import InvalidInputError
 from freelab.inequalities import KINDS, InequalityReport, verify
 from freelab.measures import moment
@@ -218,6 +219,26 @@ def test_cli_equilibrium_quartic(tmp_path):
     assert data["density"][0][0] == pytest.approx(data["support"][0], abs=1e-6)
 
 
+def test_cli_equilibrium_density_table_is_the_semicircle(tmp_path):
+    # quadratic:c=1 has the semicircle sqrt(4 - x^2) / (2 pi) on [-2, 2] as
+    # its equilibrium; every row of the report's table must sit on it
+    for fmt in ("json", "csv"):
+        out = tmp_path / f"eq.{fmt}"
+        code = main(["equilibrium", "--potential", "quadratic:c=1",
+                     "--format", fmt, "--out", str(out)])
+        assert code == 0
+        if fmt == "json":
+            table = np.array(json.loads(out.read_text())["density"])
+        else:
+            lines = out.read_text().splitlines()
+            assert lines[0] == "x,density"
+            table = np.array([[float(c) for c in ln.split(",")] for ln in lines[1:]])
+        assert table.shape == (1025, 2)
+        x, rho = table.T
+        exact = np.sqrt(np.maximum(4.0 - x * x, 0.0)) / (2.0 * np.pi)
+        assert np.max(np.abs(rho - exact)) < 1e-6
+
+
 def test_cli_equilibrium_rejects_unmet_tolerance(capsys):
     code = main(["equilibrium", "--potential", "quartic:g=0.25",
                  "--nodes", "1024", "--tol", "1e-15"])
@@ -245,6 +266,22 @@ def test_cli_parse_error_exits_two(capsys):
     code = main(["w2", "--mu", "semicircel:mean=0", "--nu", "semicircle"])
     assert code == 2
     assert "position" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["w2", "--mu", "semicircle:mean=1e999", "--nu", "semicircle"],
+    ["w2", "--mu", "semicircle:var=1e999", "--nu", "semicircle"],
+    ["pressure", "--potential", "arcsine:radius=1e999"],
+    ["pressure", "--potential", "quadratic:c=1e999"],
+])
+def test_cli_non_finite_spec_numbers_exit_two(argv, capsys):
+    # 1e999 overflows to inf when parsed; it is bad input, not a result
+    code = main(argv)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "freelab: error:" in err
+    assert "finite" in err
+    assert "Traceback" not in err
 
 
 def test_cli_unwritable_output_exits_four(tmp_path, capsys):
@@ -293,6 +330,22 @@ def test_cli_moment_map_on_semicircle(tmp_path):
     # the moment map of sigma is close to x^2/2 up to its anchoring
     mid = table[np.abs(table[:, 0] - 1.0).argmin()]
     assert mid[1] == pytest.approx(0.5, abs=0.05)
+
+
+def test_cli_moment_map_potential_is_pointwise_u(tmp_path):
+    # the report evaluates u on all 513 points in one call; a point-by-point
+    # loop is the reference, in both formats
+    u, _ = moment_map(parse_measure("semicircle:mean=0,var=1"), SolverSettings(nodes=512))
+    for fmt in ("json", "csv"):
+        out = tmp_path / f"mm.{fmt}"
+        code = main(["moment-map", "--mu", "semicircle:mean=0,var=1",
+                     "--nodes", "512", "--format", fmt, "--out", str(out)])
+        assert code == 0
+        if fmt == "json":
+            table = np.asarray(json.loads(out.read_text())["potential"], dtype=float)
+        else:
+            table = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert table[:, 1].tolist() == [u.value(x) for x in table[:, 0]]
 
 
 # ---------------------------------------------------------------------------
