@@ -285,8 +285,8 @@ class RunConfig:
             raise InvalidInputError(f"unknown command {self.command!r}")
         if self.nodes < 256:
             raise InvalidInputError("nodes must be at least 256")
-        if not self.tolerance > 0.0:
-            raise InvalidInputError("tolerance must be positive")
+        if not 0.0 < self.tolerance < math.inf:
+            raise InvalidInputError("tolerance must be positive and finite")
         if not 0 <= self.seed < 2 ** 63:
             raise InvalidInputError("seed must be a nonnegative 64-bit integer")
         if self.format not in ("json", "csv"):
@@ -608,6 +608,13 @@ def _cmd_verify(config: RunConfig) -> int:
     return 0 if report.passed else 1
 
 
+def _is_finite_number(text: str) -> bool:
+    try:
+        return math.isfinite(float(text))
+    except ValueError:
+        return False
+
+
 def _read_manifest(path: str):
     """Rows ``kind, role=spec, ...``; blank lines, comments, and an optional
     header row are skipped."""
@@ -635,7 +642,11 @@ def _read_manifest(path: str):
                 if role in fields:
                     raise InvalidInputError(
                         f"{path} line {lineno}: duplicate role {role!r}")
-                fields[role] = spec.strip()
+                spec = spec.strip()
+                if role == "theta" and not _is_finite_number(spec):
+                    raise InvalidInputError(
+                        f"{path} line {lineno}: theta {spec!r} is not a finite number")
+                fields[role] = spec
             rows.append((lineno, _canonical_kind(kind), fields))
     if not rows:
         raise InvalidInputError(f"manifest {path} has no verification rows")

@@ -255,6 +255,19 @@ def test_cli_verify_failure_exits_one(capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_cli_non_finite_tolerance_exits_two(capsys):
+    # --tol inf would make deficit >= -tol hold for every deficit; the same
+    # run at a finite tolerance still fails
+    argv = ["verify", "ssfti", "--mu", "semicircle:mean=-9e-9,var=1",
+            "--nu", "semicircle:mean=100,var=1"]
+    assert main(argv + ["--tol", "inf"]) == 2
+    out = capsys.readouterr()
+    assert "freelab: error:" in out.err and "tolerance" in out.err
+    assert "pass" not in out.out
+    assert main(argv + ["--tol", "1e-9"]) == 1
+    assert "FAIL" in capsys.readouterr().out
+
+
 def test_cli_hypothesis_violation_exits_two(capsys):
     code = main(["verify", "ssfti", "--mu", "semicircle:mean=1,var=1",
                  "--nu", "semicircle:mean=0,var=1"])
@@ -475,6 +488,18 @@ def test_verify_suite_error_rows(tmp_path, capsys):
                  "--out", str(tmp_path / "s.csv")])
     assert code == 2
     assert "manifest line 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("theta", ["abc", "1e999", "nan"])
+def test_verify_suite_rejects_bad_theta_when_reading_the_manifest(tmp_path, capsys, theta):
+    manifest = tmp_path / "m.csv"
+    _write_manifest(manifest, [["free_log_prekopa", "f=quadratic:c=1", "g=quadratic:c=2",
+                                "u3=quadratic:c=1.5", f"theta={theta}"]])
+    code = main(["verify-suite", "--manifest", str(manifest),
+                 "--out", str(tmp_path / "s.csv")])
+    assert code == 2
+    assert f"{manifest} line 1: theta '{theta}' is not a finite number" in capsys.readouterr().err
+    assert not (tmp_path / "s_reports").exists()
 
 
 def test_verify_suite_missing_manifest_exits_four(tmp_path, capsys):

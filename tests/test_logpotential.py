@@ -13,6 +13,7 @@ from freelab.logpotential import (
     euler_lagrange_residual,
     hilbert_transform,
     _energy_at,
+    _kernel_sum,
     integrate_potential,
     log_energy,
     log_jacobian,
@@ -283,6 +284,34 @@ def test_blocked_energy_matches_dense_rule():
                translate(make_arcsine(2.0), 0.5)):
         for cells in (100, 301):
             assert abs(_energy_at(mu, cells) - _dense_energy(mu, cells)) < 1e-13
+
+
+def test_tree_energy_matches_dense_rule_on_the_cusped_pushforward():
+    # the quartic u' pushes its equilibrium onto a density with a |y|^(-2/3)
+    # cusp at 0: the one v1 measure that takes the quadrature, and the most
+    # uneven node spacing for the far-field test; 2000 and 2046 nodes are
+    # padded to 2048
+    from freelab.equilibrium import solve_equilibrium
+
+    u = quartic(0.25)
+    nu = pushforward_monotone(solve_equilibrium(u).measure, u.d)
+    for cells in (1000, 1023):
+        assert abs(_energy_at(nu, cells) - _dense_energy(nu, cells)) < 1e-13
+
+
+def test_kernel_sum_of_padded_nodes_is_the_off_band_rule():
+    # node counts that are not a leaf times a power of two get zero-weight
+    # copies of the last node; the sum is still the dense off-band one
+    mu = make_marchenko_pastur_family(1.0)
+    for cells in (1, 15, 37, 301):
+        ps = cosine_graded(cells)
+        h = np.diff(ps)
+        q = mu.quantile((ps[:-1, None] + h[:, None] * GL2_T[None, :]).ravel())
+        w = (h[:, None] * GL2_W[None, :]).ravel()
+        cell = np.arange(q.size) // 2
+        logs = np.log(np.maximum(np.abs(q[:, None] - q[None, :]), 1e-300))
+        logs[np.abs(cell[:, None] - cell[None, :]) <= 1] = 0.0
+        assert abs(_kernel_sum(q, w) - w @ logs @ w) < 1e-13
 
 
 def test_series_energy_matches_closed_forms_with_honest_estimates():
