@@ -1,0 +1,49 @@
+"""Chebyshev series of a measure in the angle variable of its support.
+
+On [m - r, m + r], write x = m + r cos(theta).  A measure's Chebyshev
+moments c_k = int T_k((x - m)/r) dmu come from its angle distribution
+function G(theta) = mu(x >= m + r cos theta) by parts:
+c_k = k int_0^pi sin(k theta) (G(theta) - theta/pi) dtheta.  The log
+energy and the Hilbert transform are both series in these moments, and the
+equilibrium solver's CDF is a sine series in its own; this leaf module
+holds the two pieces they share, so that `logpotential` and `equilibrium`
+reach them without importing each other.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from scipy.fft import dst
+
+# uniform angles at which G is read; the DST-I runs on the interior ones
+ANGLES = 2 ** 14
+
+
+def chebyshev_moments(ps: np.ndarray, xs: np.ndarray):
+    """Center m, half-width r and moments c_1 .. c_{ANGLES - 1} of the
+    quantile table (ps, xs), from one DST-I of G - theta/pi read off the
+    table at ANGLES uniform angles."""
+    m, r = 0.5 * (xs[0] + xs[-1]), 0.5 * (xs[-1] - xs[0])
+    n = ANGLES
+    theta = np.pi * np.arange(1, n) / n
+    g = 1.0 - np.interp(m + r * np.cos(theta), xs, ps) - theta / np.pi
+    return m, r, np.arange(1, n) * (np.pi / (2 * n)) * dst(g, type=1)
+
+
+def sine_sum(coeff: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """sum_{k >= 1} coeff[k - 1] sin(k t) at each angle t.
+
+    With k = q B + s and B = ceil(sqrt(K + 1)), sin(k t) = sin(q B t)
+    cos(s t) + cos(q B t) sin(s t), so the sum takes about 4 B sines and
+    cosines per angle and two matrix products against the B-wide rows of
+    coefficients, instead of a table of K sines per angle.
+    """
+    kk = coeff.size
+    b = int(np.ceil(np.sqrt(kk + 1)))
+    rows = -(-(kk + 1) // b)
+    blocks = np.zeros((rows, b))
+    blocks.flat[1:kk + 1] = coeff  # row q holds modes q B .. q B + B - 1
+    st = np.outer(t, np.arange(b, dtype=float))
+    qt = np.outer(t, b * np.arange(rows, dtype=float))
+    return np.sum(np.sin(qt) * (np.cos(st) @ blocks.T)
+                  + np.cos(qt) * (np.sin(st) @ blocks.T), axis=1)

@@ -42,6 +42,21 @@ the kernel sum, and the half-resolution pass is then skipped.
 Either way the error estimate lets downstream tolerances be chosen
 honestly.
 
+The Hilbert transform H mu(t) = (1/pi) PV int dmu(y) / (t - y) also has two
+routes, and here the caller chooses.  Public `hilbert_transform` runs a
+singularity subtraction in quantile coordinates on a cubic spline of the
+quantile table, about a million spline evaluations for the 65 probes of
+`euler_lagrange_residual`; it is accurate to about 1e-7 on any table.
+Differentiating the log potential's Chebyshev series instead gives
+H mu(t) = -(2/(pi r)) sum_k c_k sin(k phi) / sin(phi) at t = m + r cos(phi),
+with the same moments c_k as the energy series, summed by a blocked sine
+sum.  That series is exact only on tables whose rows lie on the uniform
+angle grid, as the equilibrium solver's do: on the cosine-graded 8193-row
+closed-form tables it errs by up to 8e-5.  So the public functions keep the
+spline, and only the solver's own residual (`EquilibriumResult.el_residual`,
+through `_series_euler_lagrange_residual`) takes the series, with the same
+probes and subgradient band, 40 to 60 times faster.
+
 Tolerance policy used throughout the test-suite:
 
 * ``TOL_CLOSED_FORM``  : quantities with exact finite expressions
@@ -55,9 +70,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import dst
-from scipy.interpolate import CubicSpline
 
+from ._angle_series import ANGLES, chebyshev_moments, sine_sum
 from ._grids import ENERGY_CELLS, GL2_T, GL2_W, GL4_T, GL4_W, cosine_graded, gauss_legendre_01
 from .errors import InvalidInputError, SingularEvaluationError
 from .measures import GridMeasure, moment, pushforward_monotone
@@ -105,8 +119,9 @@ _LEAF_KEEP = np.array([np.abs(np.arange(_LEAF)[:, None] // 2
                        for d in range(2)], dtype=float)
 # interior points per batch of the Hilbert transform; bounds its temporaries
 _HILBERT_BATCH = 8
-# uniform angles of the series route; the DST-I runs on the interior ones
-_SERIES_ANGLES = 2 ** 14
+# scipy.interpolate.CubicSpline, bound by hilbert_transform at its first
+# interior point: nothing else needs scipy.interpolate
+CubicSpline = None
 # largest upper-half tail of sum 2 c_k^2 / k at which the series is accepted
 _SERIES_TAIL = 1e-10
 
@@ -219,15 +234,9 @@ def _energy_at(mu: GridMeasure, cells: int) -> float:
 def _series_energy(ps: np.ndarray, xs: np.ndarray) -> tuple[float, float]:
     """Log energy of the quantile table (ps, xs) from its Chebyshev moments,
     and the upper-half tail of the series."""
-    m, r = 0.5 * (xs[0] + xs[-1]), 0.5 * (xs[-1] - xs[0])
-    n = _SERIES_ANGLES
-    theta = np.pi * np.arange(1, n) / n
-    # angle distribution function G(theta) = mu(x' >= cos theta), less theta/pi
-    g = 1.0 - np.interp(m + r * np.cos(theta), xs, ps) - theta / np.pi
-    k = np.arange(1, n)
-    c = k * (np.pi / (2 * n)) * dst(g, type=1)
-    terms = 2.0 * c * c / k
-    return float(np.log(r / 2.0) - np.sum(terms)), float(np.sum(terms[n // 2 - 1:]))
+    _, r, c = chebyshev_moments(ps, xs)
+    terms = 2.0 * c * c / np.arange(1, ANGLES)
+    return float(np.log(r / 2.0) - np.sum(terms)), float(np.sum(terms[ANGLES // 2 - 1:]))
 
 
 def log_energy(mu: GridMeasure, cells: int = ENERGY_CELLS) -> EnergyValue:
@@ -347,6 +356,7 @@ def hilbert_transform(mu: GridMeasure, t, cells: int = 4096):
     at a time; evaluation too close to a support endpoint raises
     :class:`SingularEvaluationError` before anything is computed.
     """
+    global CubicSpline
     ts = np.atleast_1d(np.asarray(t, dtype=float))
     flat = ts.ravel()
     scale = 1.0 + mu.radius
@@ -359,6 +369,9 @@ def hilbert_transform(mu: GridMeasure, t, cells: int = 4096):
     inside = (mu.support_lo < flat) & (flat < mu.support_hi)
     rows = np.flatnonzero(inside)
     if rows.size:
+        if CubicSpline is None:
+            import scipy.interpolate
+            CubicSpline = scipy.interpolate.CubicSpline
         spline = CubicSpline(mu.quantile_ps, mu.quantile_xs)
         dspline = spline.derivative()
         for s in range(0, rows.size, _HILBERT_BATCH):
@@ -389,6 +402,31 @@ def log_jacobian(mu: GridMeasure, u: Potential, cells: int = ENERGY_CELLS) -> En
     return EnergyValue(ea.value - eb.value, ea.error_est + eb.error_est)
 
 
+def _series_hilbert(mu: GridMeasure, ts: np.ndarray) -> np.ndarray:
+    """H mu at interior points t = m + r cos(phi) of the support, from the
+    quantile table's Chebyshev moments: -(2/(pi r)) sum_k c_k sin(k phi) /
+    sin(phi).  Exact only on tables whose rows lie on the uniform angle
+    grid, as the solver's do; see the module docstring."""
+    m, r, c = chebyshev_moments(mu.quantile_ps, mu.quantile_xs)
+    phi = np.arccos((ts - m) / r)
+    return (-2.0 / (np.pi * r)) * sine_sum(c, phi) / np.sin(phi)
+
+
+def _el_residual(mu: GridMeasure, u: Potential, hilbert,
+                 n_probes: int = 65, coverage: float = 0.96) -> float:
+    """The probe-and-band rule of `euler_lagrange_residual`, with H mu at
+    the probes taken from ``hilbert(mu, ts)``."""
+    lo = 0.5 * (1.0 - coverage)
+    ps = np.linspace(lo, 1.0 - lo, n_probes)
+    ts = mu.quantile(ps)
+    h = 1e-9 * (1.0 + np.abs(ts))
+    side = np.stack([u.d(ts - h), u.d(ts), u.d(ts + h)])
+    band_lo, band_hi = side.min(axis=0), side.max(axis=0)
+    target = 2.0 * np.pi * hilbert(mu, ts)
+    res = np.maximum(target - band_hi, band_lo - target)
+    return float(np.max(np.maximum(res, 0.0)))
+
+
 def euler_lagrange_residual(mu: GridMeasure, u: Potential,
                             n_probes: int = 65, coverage: float = 0.96) -> float:
     """Sup over interior probes of the distance from 2 pi H mu(t) to the
@@ -398,17 +436,16 @@ def euler_lagrange_residual(mu: GridMeasure, u: Potential,
     Probes sit at quantiles covering the central part of the support; the
     subgradient is bracketed by one-sided derivative samples so a probe
     landing exactly on a kink of u is judged by the inclusion, not by the
-    arbitrary derivative value there.
+    arbitrary derivative value there.  H mu is `hilbert_transform`'s.
     """
-    lo = 0.5 * (1.0 - coverage)
-    ps = np.linspace(lo, 1.0 - lo, n_probes)
-    ts = mu.quantile(ps)
-    h = 1e-9 * (1.0 + np.abs(ts))
-    side = np.stack([u.d(ts - h), u.d(ts), u.d(ts + h)])
-    band_lo, band_hi = side.min(axis=0), side.max(axis=0)
-    target = 2.0 * np.pi * hilbert_transform(mu, ts)
-    res = np.maximum(target - band_hi, band_lo - target)
-    return float(np.max(np.maximum(res, 0.0)))
+    return _el_residual(mu, u, hilbert_transform, n_probes, coverage)
+
+
+def _series_euler_lagrange_residual(mu: GridMeasure, u: Potential) -> float:
+    """`euler_lagrange_residual` with H mu from the quantile table's
+    Chebyshev moments: the solver's residual, for tables on the uniform
+    angle grid only (see the module docstring)."""
+    return _el_residual(mu, u, _series_hilbert)
 
 
 def schwinger_dyson_residual(mu: GridMeasure, u: Potential, max_degree: int = 6) -> float:

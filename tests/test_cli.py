@@ -544,3 +544,26 @@ def test_python_dash_m_freelab_runs_from_a_checkout():
                           stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: freelab")
+
+
+def test_cli_commands_leave_scipy_interpolate_unloaded(tmp_path):
+    # only hilbert_transform's spline needs scipy.interpolate, and no
+    # command reaches it
+    import subprocess
+    import sys
+
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    script = """
+import sys
+from freelab import cli
+for argv in (["equilibrium", "--potential", "quartic:g=0.6"],
+             ["pressure", "--potential", "halfline:slope=1"],
+             ["verify", "ssfti", "--mu", "semicircle:var=2", "--nu", "semicircle:var=0.5"],
+             ["verify", "inverse_free_lsi", "--f", "quartic:g=0.25"]):
+    assert cli.main(argv) == 0, argv
+assert "scipy.interpolate" not in sys.modules
+"""
+    proc = subprocess.run([sys.executable, "-c", script], env=env, cwd=str(tmp_path),
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -11,7 +11,7 @@ from freelab.equilibrium import (
     moment_map,
     solve_equilibrium,
 )
-from freelab.errors import InvalidInputError, MultiCutError
+from freelab.errors import InvalidInputError, MultiCutError, SolverError
 from freelab.logpotential import chi_rel
 from freelab.measures import (
     from_density_table,
@@ -351,7 +351,7 @@ def _count_residual_calls(monkeypatch):
     import freelab.equilibrium as eq_mod
 
     calls = {"el": 0, "sd": 0}
-    el, sd = eq_mod.euler_lagrange_residual, eq_mod.schwinger_dyson_residual
+    el, sd = eq_mod._series_euler_lagrange_residual, eq_mod.schwinger_dyson_residual
 
     def counted_el(*args, **kwargs):
         calls["el"] += 1
@@ -361,7 +361,7 @@ def _count_residual_calls(monkeypatch):
         calls["sd"] += 1
         return sd(*args, **kwargs)
 
-    monkeypatch.setattr(eq_mod, "euler_lagrange_residual", counted_el)
+    monkeypatch.setattr(eq_mod, "_series_euler_lagrange_residual", counted_el)
     monkeypatch.setattr(eq_mod, "schwinger_dyson_residual", counted_sd)
     return calls
 
@@ -378,17 +378,26 @@ def test_solves_that_never_read_residuals_never_compute_them(monkeypatch):
 
 
 def test_residuals_are_computed_on_first_read_and_cached(monkeypatch):
-    from freelab.logpotential import euler_lagrange_residual, schwinger_dyson_residual
+    from freelab.logpotential import _series_euler_lagrange_residual, schwinger_dyson_residual
 
     u = quartic(0.25)
     calls = _count_residual_calls(monkeypatch)
     res = solve_equilibrium(u)
-    assert res.el_residual == euler_lagrange_residual(res.measure, u)
+    assert res.el_residual == _series_euler_lagrange_residual(res.measure, u)
     assert res.sd_residual == schwinger_dyson_residual(res.measure, u)
     assert calls == {"el": 1, "sd": 1}
-    assert res.el_residual == euler_lagrange_residual(res.measure, u)
+    assert res.el_residual == _series_euler_lagrange_residual(res.measure, u)
     assert res.sd_residual == schwinger_dyson_residual(res.measure, u)
     assert calls == {"el": 1, "sd": 1}
+
+
+@pytest.mark.xfail(raises=SolverError, strict=True)
+def test_tilted_abs_solves():
+    # |x| + x/2 is convex and confining, but u' is piecewise constant: the
+    # finite-difference m-column of the endpoint Jacobian is exactly zero,
+    # so m never leaves the kink and Newton stalls
+    res = solve_equilibrium(tilt_linear(abs_potential(), 0.5))
+    assert res.method == "soft"
 
 
 def _tau_series(monkeypatch):

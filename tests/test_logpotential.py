@@ -393,3 +393,50 @@ def test_quadrature_stops_after_one_pass_at_atoms(monkeypatch):
     u = quartic(0.25)
     log_energy(pushforward_monotone(solve_equilibrium(u).measure, u.d))
     assert calls == [ENERGY_CELLS, ENERGY_CELLS // 2]
+
+
+def _probes(mu):
+    # the 65 probes of euler_lagrange_residual's defaults
+    return mu.quantile(np.linspace(0.02, 0.98, 65))
+
+
+def test_series_hilbert_transform_meets_closed_forms_on_solver_tables():
+    # 2 pi H mu = u' on the support: c t for quadratic(c), 0 for a flat well
+    from freelab.equilibrium import solve_equilibrium
+    from freelab.logpotential import _series_hilbert
+
+    for c in (0.5, 1.0, 3.7):
+        mu = solve_equilibrium(quadratic(c)).measure
+        ts = _probes(mu)
+        assert np.max(np.abs(2.0 * np.pi * _series_hilbert(mu, ts) - c * ts)) <= 1e-10, c
+    for radius in (0.7, 1.0, 1.2):
+        mu = solve_equilibrium(arcsine_indicator(radius)).measure
+        assert np.max(np.abs(2.0 * np.pi * _series_hilbert(mu, _probes(mu)))) <= 1e-10, radius
+
+
+@pytest.mark.parametrize("u", [quadratic(1.0), quartic(0.25), polynomial_even(0.5, 0.125),
+                               linear_halfline(1.0), arcsine_indicator(1.2)],
+                         ids=lambda u: u.label)
+def test_series_residual_of_a_solve_is_below_the_spline_residual(u):
+    from freelab.equilibrium import solve_equilibrium
+    from freelab.logpotential import _series_euler_lagrange_residual
+
+    mu = solve_equilibrium(u).measure
+    series = _series_euler_lagrange_residual(mu, u)
+    assert series <= 1e-9
+    assert series <= euler_lagrange_residual(mu, u)
+
+
+def test_series_and_spline_residuals_agree_where_the_measure_is_off():
+    # both transforms see the same large defect, so both still fail the
+    # CLI's default --tol of 1e-3
+    from freelab.equilibrium import solve_equilibrium
+    from freelab.logpotential import _series_euler_lagrange_residual
+    from freelab.potentials import legendre_transform
+
+    for u in (abs_potential(), legendre_transform(quartic(1.0))):
+        mu = solve_equilibrium(u).measure
+        series = _series_euler_lagrange_residual(mu, u)
+        spline = euler_lagrange_residual(mu, u)
+        assert series > 1e-3 and spline > 1e-3, u.label
+        assert abs(series - spline) <= 0.02 * spline, u.label
