@@ -7,16 +7,29 @@ c_k = k int_0^pi sin(k theta) (G(theta) - theta/pi) dtheta.  The log
 energy and the Hilbert transform are both series in these moments, and the
 equilibrium solver's CDF is a sine series in its own; this leaf module
 holds the two pieces they share, so that `logpotential` and `equilibrium`
-reach them without importing each other.
+reach them without importing each other.  Their angle table is built once
+and shared read-only.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 from scipy.fft import dst
 
+from ._grids import read_only
+
 # uniform angles at which G is read; the DST-I runs on the interior ones
 ANGLES = 2 ** 14
+
+
+@lru_cache(maxsize=1)
+def _angle_table():
+    """theta/pi, cos(theta) and the weights k pi/(2 ANGLES) at theta = pi k/ANGLES."""
+    n = ANGLES
+    theta = np.pi * np.arange(1, n) / n
+    return read_only(theta / np.pi, np.cos(theta), np.arange(1, n) * (np.pi / (2 * n)))
 
 
 def chebyshev_moments(ps: np.ndarray, xs: np.ndarray):
@@ -24,10 +37,9 @@ def chebyshev_moments(ps: np.ndarray, xs: np.ndarray):
     quantile table (ps, xs), from one DST-I of G - theta/pi read off the
     table at ANGLES uniform angles."""
     m, r = 0.5 * (xs[0] + xs[-1]), 0.5 * (xs[-1] - xs[0])
-    n = ANGLES
-    theta = np.pi * np.arange(1, n) / n
-    g = 1.0 - np.interp(m + r * np.cos(theta), xs, ps) - theta / np.pi
-    return m, r, np.arange(1, n) * (np.pi / (2 * n)) * dst(g, type=1)
+    frac, cos, weight = _angle_table()
+    g = 1.0 - np.interp(m + r * cos, xs, ps) - frac
+    return m, r, weight * dst(g, type=1)
 
 
 def sine_sum(coeff: np.ndarray, t: np.ndarray) -> np.ndarray:

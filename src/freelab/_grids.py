@@ -164,13 +164,17 @@ def _gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w * (2.0 / w.sum())
 
 
+def read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, marked read-only: a cached table is shared by its callers."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 @lru_cache(maxsize=8)
 def _gauss_legendre_01(n: int) -> tuple[np.ndarray, np.ndarray]:
     x, w = _gauss_legendre(n)
-    t, w = 0.5 * (x + 1.0), 0.5 * w
-    t.flags.writeable = False
-    w.flags.writeable = False
-    return t, w
+    return read_only(0.5 * (x + 1.0), 0.5 * w)
 
 
 def gauss_legendre_01(n: int = TRANSPORT_POINTS) -> tuple[np.ndarray, np.ndarray]:
@@ -193,9 +197,7 @@ def cosine_graded(cells: int = ENERGY_CELLS) -> np.ndarray:
     quantile functions at the edge of the support.
     """
     k = np.arange(cells + 1)
-    ps = 0.5 * (1.0 - np.cos(np.pi * k / cells))
-    ps.flags.writeable = False
-    return ps
+    return read_only(0.5 * (1.0 - np.cos(np.pi * k / cells)))[0]
 
 
 def chebyshev_angles(k: int = DEFAULT_NODES) -> np.ndarray:

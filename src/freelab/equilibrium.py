@@ -20,19 +20,22 @@ EL residual checks 2 pi H mu = u' at the probes of
 moments of the result's own quantile table (not from tau, so it checks the
 table that reports use); that series is exact on the solver's uniform-angle
 tables, where the public spline transform costs 40 to 60 times more.
+
+The fixed angle tables of a solve (cos and sin of the Chebyshev angles, the
+CDF table's splice grid) are built once and shared read-only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.fft import dct, dst
 from scipy.optimize import brentq
 
 from ._angle_series import sine_sum as _sine_sum
-from ._grids import DEFAULT_NODES, chebyshev_angles
+from ._grids import DEFAULT_NODES, chebyshev_angles, read_only
 from .errors import InvalidInputError, MultiCutError, SolverError
 from .logpotential import (
     HALF_LOG_2PI,
@@ -105,10 +108,17 @@ class CenteringShift:
     curve: tuple  # sampled (lambda, barycenter) pairs
 
 
-def _tau_soft(u: Potential, m: float, r: float, theta: np.ndarray):
+@lru_cache(maxsize=4)
+def _chebyshev_trig(k: int):
+    """cos and sin of ``chebyshev_angles(k)``."""
+    theta = chebyshev_angles(k)
+    return read_only(np.cos(theta), np.sin(theta))
+
+
+def _tau_soft(u: Potential, m: float, r: float, cos: np.ndarray):
     """Chebyshev moments for two soft edges, plus the endpoint residuals."""
-    k = theta.size
-    f = u.d(m + r * np.cos(theta))
+    k = cos.size
+    f = u.d(m + r * cos)
     y = dct(f, type=2)
     c = y / k
     c[0] = 0.0  # the constant mode never enters the density
@@ -119,11 +129,11 @@ def _tau_soft(u: Potential, m: float, r: float, theta: np.ndarray):
     return tau, res1, res2
 
 
-def _tau_wall(u: Potential, m: float, r: float, theta: np.ndarray):
+def _tau_wall(u: Potential, m: float, r: float, cos: np.ndarray, sin: np.ndarray):
     """Chebyshev moments when the edges are pinned at walls."""
-    k = theta.size
-    f = u.d(m + r * np.cos(theta))
-    e = dst(f * np.sin(theta), type=2) / k
+    k = cos.size
+    f = u.d(m + r * cos)
+    e = dst(f * sin, type=2) / k
     tau = np.zeros(k)
     tau[1:] = -(r / 4.0) * e[:k - 1]
     return tau
@@ -145,6 +155,17 @@ def _theta_density(tau: np.ndarray) -> np.ndarray:
     return dct(x, type=3) / np.pi
 
 
+@lru_cache(maxsize=1)
+def _splice_grid():
+    """Clustered angles for the CDF grid's outermost panels, which underresolve
+    a hard edge; the order sorting them into the grid; cos of the sorted angles."""
+    edge = 8.0 * np.pi / _CDF_GRID * (0.5 * (1.0 - np.cos(np.linspace(0.0, np.pi, 257))))
+    t_extra = np.concatenate([edge[1:-1], np.pi - edge[1:-1]])
+    theta = np.concatenate([np.linspace(0.0, np.pi, _CDF_GRID + 1), t_extra])
+    order = np.argsort(theta)
+    return read_only(t_extra, order, np.cos(theta[order]))
+
+
 def _cdf_table(m: float, r: float, tau: np.ndarray):
     """Quantile table (ps ascending, xs ascending) from the tau series."""
     mm = _CDF_GRID
@@ -155,22 +176,14 @@ def _cdf_table(m: float, r: float, tau: np.ndarray):
     series = dst(coeff, type=1) / 2.0
     j = np.arange(1, mm)
     g = j / mm + (2.0 / np.pi) * series
-    theta = np.linspace(0.0, np.pi, mm + 1)
 
-    # the uniform grid underresolves the CDF within the outermost panels
-    # when an edge is hard; splice in quadratically clustered points there,
-    # summing the series at them by the blocked factorisation of _sine_sum
-    edge = 8.0 * np.pi / mm * (0.5 * (1.0 - np.cos(np.linspace(0.0, np.pi, 257))))
-    t_extra = np.concatenate([edge[1:-1], np.pi - edge[1:-1]])
+    t_extra, order, cos = _splice_grid()
     g_extra = t_extra / np.pi + (2.0 / np.pi) * _sine_sum(coeff[:kk], t_extra)
-    theta = np.concatenate([theta, t_extra])
-    g = np.concatenate([[0.0], g, [1.0], g_extra])
-    order = np.argsort(theta)
-    theta, g = theta[order], g[order]
+    g = np.concatenate([[0.0], g, [1.0], g_extra])[order]
 
     g = np.maximum.accumulate(np.clip(g, 0.0, 1.0))
     g[-1] = 1.0
-    xs = m + r * np.cos(theta)
+    xs = m + r * cos
     ps = (1.0 - g)[::-1]
     xs = xs[::-1]
     ps = np.maximum.accumulate(ps)
@@ -206,13 +219,13 @@ def _fits_inside(u: Potential, m: float, r: float) -> bool:
     return (m - r) > u.domain_lo + margin and (m + r) < u.domain_hi - margin
 
 
-def _newton_soft(u: Potential, theta: np.ndarray, cfg: SolverSettings):
+def _newton_soft(u: Potential, cos: np.ndarray, cfg: SolverSettings):
     m, r = _laplace_seed(u)
 
     def residual(mv, rv):
         if rv <= 0 or mv - rv <= u.domain_lo or mv + rv >= u.domain_hi:
             return None
-        _, r1, r2 = _tau_soft(u, mv, rv, theta)
+        _, r1, r2 = _tau_soft(u, mv, rv, cos)
         return np.array([r1, r2])
 
     res = residual(m, r)
@@ -273,8 +286,7 @@ def _assemble(u, m, r, tau, method, iterations, cfg) -> EquilibriumResult:
     measure = from_quantile_table(ps, xs, label=f"equilibrium({u.label})")
     ks = np.arange(1, tau.size)
     energy = float(np.log(r / 2.0) - 2.0 * np.sum(tau[1:] ** 2 / ks))
-    theta = chebyshev_angles(tau.size)
-    pot_vals = u.value(m + r * np.cos(theta))
+    pot_vals = u.value(m + r * _chebyshev_trig(tau.size)[0])
     pot_moment = float((np.pi / tau.size) * np.sum(pot_vals * dens))
     pressure = energy + 0.75 + HALF_LOG_2PI - pot_moment
     el_constant = pot_moment - 2.0 * energy
@@ -301,13 +313,13 @@ def solve_equilibrium(u: Potential, cfg: SolverSettings | None = None) -> Equili
         raise InvalidInputError(
             "non-convex potential: set allow_nonconvex to accept "
             "possible non-uniqueness of the one-cut solution")
-    theta = chebyshev_angles(cfg.nodes)
+    trig = _chebyshev_trig(cfg.nodes)
 
     soft_error = None
     try:
-        m, r, iters = _newton_soft(u, theta, cfg)
+        m, r, iters = _newton_soft(u, trig[0], cfg)
         if _fits_inside(u, m, r):
-            tau, _, _ = _tau_soft(u, m, r, theta)
+            tau, _, _ = _tau_soft(u, m, r, trig[0])
             return _assemble(u, m, r, tau, "soft", iters, cfg)
     except SolverError as exc:
         soft_error = exc
@@ -326,7 +338,7 @@ def solve_equilibrium(u: Potential, cfg: SolverSettings | None = None) -> Equili
 
         def right_soft(b):
             mv, rv = 0.5 * (a + b), 0.5 * (b - a)
-            tau = _tau_wall(u, mv, rv, theta)
+            tau = _tau_wall(u, mv, rv, *trig)
             return _edge_values(tau)[1]
 
         hi = u.domain_hi if np.isfinite(u.domain_hi) else a + 8.0 * (
@@ -334,7 +346,7 @@ def solve_equilibrium(u: Potential, cfg: SolverSettings | None = None) -> Equili
         b = _bracket_root(right_soft, a + eps + 1e-4, hi)
         if b is not None and (not np.isfinite(u.domain_hi) or b < u.domain_hi - eps):
             mv, rv = 0.5 * (a + b), 0.5 * (b - a)
-            tau = _tau_wall(u, mv, rv, theta)
+            tau = _tau_wall(u, mv, rv, *trig)
             left, _ = _edge_values(tau)
             if left > -_NEGATIVITY_SLACK:
                 return _assemble(u, mv, rv, tau, "wall-left", 1, cfg)
@@ -344,7 +356,7 @@ def solve_equilibrium(u: Potential, cfg: SolverSettings | None = None) -> Equili
 
         def left_soft(a):
             mv, rv = 0.5 * (a + b), 0.5 * (b - a)
-            tau = _tau_wall(u, mv, rv, theta)
+            tau = _tau_wall(u, mv, rv, *trig)
             return _edge_values(tau)[0]
 
         lo = u.domain_lo if np.isfinite(u.domain_lo) else b - 8.0 * (
@@ -352,7 +364,7 @@ def solve_equilibrium(u: Potential, cfg: SolverSettings | None = None) -> Equili
         a = _bracket_root(left_soft, lo, b - eps - 1e-4)
         if a is not None and (not np.isfinite(u.domain_lo) or a > u.domain_lo + eps):
             mv, rv = 0.5 * (a + b), 0.5 * (b - a)
-            tau = _tau_wall(u, mv, rv, theta)
+            tau = _tau_wall(u, mv, rv, *trig)
             _, right = _edge_values(tau)
             if right > -_NEGATIVITY_SLACK:
                 return _assemble(u, mv, rv, tau, "wall-right", 1, cfg)
@@ -360,7 +372,7 @@ def solve_equilibrium(u: Potential, cfg: SolverSettings | None = None) -> Equili
     if np.isfinite(u.domain_lo) and np.isfinite(u.domain_hi):
         mv = 0.5 * (u.domain_lo + u.domain_hi)
         rv = 0.5 * (u.domain_hi - u.domain_lo)
-        tau = _tau_wall(u, mv, rv, theta)
+        tau = _tau_wall(u, mv, rv, *trig)
         left, right = _edge_values(tau)
         if left > -_NEGATIVITY_SLACK and right > -_NEGATIVITY_SLACK:
             return _assemble(u, mv, rv, tau, "wall-both", 1, cfg)

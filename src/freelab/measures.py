@@ -7,17 +7,19 @@ the density, where one is wanted, is the table's derivative
 
 Working in quantile coordinates keeps the numerics uniformly accurate at
 square-root and logarithmic edges, where the density itself blows up or
-vanishes and naive grid quadrature loses digits.
+vanishes and naive grid quadrature loses digits.  The semicircle and
+Marchenko-Pastur tables scale angle tables built once and shared read-only.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from ._grids import QUANTILE_CELLS, cosine_graded, gauss_legendre_01
+from ._grids import QUANTILE_CELLS, cosine_graded, gauss_legendre_01, read_only
 from .errors import InvalidInputError
 
 __all__ = [
@@ -128,6 +130,13 @@ def _semicircle_theta_of_p(p: np.ndarray) -> np.ndarray:
     return theta
 
 
+@lru_cache(maxsize=2)
+def _semicircle_cos(shifted: bool) -> np.ndarray:
+    """cos(theta(p)) at the grid's ps, or at (1 + ps)/2 (Marchenko-Pastur)."""
+    ps = cosine_graded(QUANTILE_CELLS)
+    return read_only(np.cos(_semicircle_theta_of_p(0.5 * (1.0 + ps) if shifted else ps)))[0]
+
+
 def make_semicircular(mean: float = 0.0, variance: float = 1.0) -> GridMeasure:
     """Semicircular law with the given mean and variance.
 
@@ -137,8 +146,7 @@ def make_semicircular(mean: float = 0.0, variance: float = 1.0) -> GridMeasure:
         raise InvalidInputError("variance must be positive")
     r = 2.0 * np.sqrt(variance)
     ps = cosine_graded(QUANTILE_CELLS)
-    theta = _semicircle_theta_of_p(ps)
-    xs = mean - r * np.cos(theta)
+    xs = mean - r * _semicircle_cos(False)
     return GridMeasure(float(xs[0]), float(xs[-1]), ps, xs,
                        f"semicircle(mean={mean:g},var={variance:g})")
 
@@ -163,8 +171,7 @@ def make_marchenko_pastur_family(scale: float = 1.0) -> GridMeasure:
     if scale <= 0:
         raise InvalidInputError("scale must be positive")
     ps = cosine_graded(QUANTILE_CELLS)
-    theta = _semicircle_theta_of_p(0.5 * (1.0 + ps))
-    xs = (2.0 * np.sqrt(scale) * np.cos(theta)) ** 2
+    xs = (2.0 * np.sqrt(scale) * _semicircle_cos(True)) ** 2
     xs = np.maximum.accumulate(xs)  # guard monotonicity at roundoff
     return GridMeasure(float(xs[0]), float(xs[-1]), ps, xs, f"mp(scale={scale:g})")
 

@@ -144,7 +144,7 @@ def quartic(g: float = 0.25) -> Potential:
     """u(x) = g x^4."""
     return Potential(
         fn=lambda x: g * x ** 4,
-        deriv=lambda x: 4.0 * g * x ** 3,
+        deriv=lambda x: 4.0 * g * x * x * x,
         domain_lo=-np.inf, domain_hi=np.inf,
         is_convex=g >= 0, growth_ok=g > 0,
         label=f"quartic(g={g:g})",
@@ -155,7 +155,7 @@ def polynomial_even(c2: float, c4: float) -> Potential:
     """u(x) = c2 x^2 + c4 x^4."""
     return Potential(
         fn=lambda x: c2 * x * x + c4 * x ** 4,
-        deriv=lambda x: 2.0 * c2 * x + 4.0 * c4 * x ** 3,
+        deriv=lambda x: 2.0 * c2 * x + 4.0 * c4 * x * x * x,
         domain_lo=-np.inf, domain_hi=np.inf,
         is_convex=c2 >= 0 and c4 >= 0,
         growth_ok=c4 > 0 or (c4 == 0 and c2 > 0),

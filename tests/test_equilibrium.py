@@ -463,3 +463,58 @@ def test_cdf_table_matches_the_sine_table_splice(monkeypatch):
         assert ps.shape == ref_ps.shape, name
         assert np.max(np.abs(ps - ref_ps)) <= 1e-15, name
         assert np.max(np.abs(xs - ref_xs)) <= 1e-15, name
+
+
+def _argsort_cdf_table(m, r, tau):
+    """_cdf_table with its splice grid, sort order and cosines built inline."""
+    from scipy.fft import dst
+
+    from freelab.equilibrium import _CDF_GRID, _sine_sum
+
+    mm = _CDF_GRID
+    coeff = np.zeros(mm - 1)
+    kk = min(tau.size - 1, mm - 1)
+    coeff[:kk] = tau[1:kk + 1] / np.arange(1, kk + 1, dtype=float)
+    g = np.arange(1, mm) / mm + (2.0 / np.pi) * (dst(coeff, type=1) / 2.0)
+    t_extra = _splice_angles()
+    g_extra = t_extra / np.pi + (2.0 / np.pi) * _sine_sum(coeff[:kk], t_extra)
+    theta = np.concatenate([np.linspace(0.0, np.pi, mm + 1), t_extra])
+    g = np.concatenate([[0.0], g, [1.0], g_extra])
+    order = np.argsort(theta)
+    theta, g = theta[order], g[order]
+    g = np.maximum.accumulate(np.clip(g, 0.0, 1.0))
+    g[-1] = 1.0
+    ps = np.maximum.accumulate((1.0 - g)[::-1])
+    xs = (m + r * np.cos(theta))[::-1]
+    ps[0], ps[-1] = 0.0, 1.0
+    i0 = int(np.searchsorted(ps, 0.0, side="right")) - 1
+    i1 = int(np.searchsorted(ps, 1.0, side="left"))
+    ps, xs = ps[i0:i1 + 1], xs[i0:i1 + 1]
+    keep = np.concatenate([[True], np.diff(ps) > 0.0])
+    return ps[keep], xs[keep]
+
+
+def test_cdf_table_on_the_shared_splice_grid_is_the_argsort_table(monkeypatch):
+    import freelab.equilibrium as eq_mod
+
+    for name, m, r, tau in _tau_series(monkeypatch):
+        ps, xs = eq_mod._cdf_table(m, r, tau)
+        ref_ps, ref_xs = _argsort_cdf_table(m, r, tau)
+        assert np.array_equal(ps, ref_ps), name
+        assert np.array_equal(xs, ref_xs), name
+
+
+def test_fixed_angle_tables_are_shared_and_read_only():
+    from freelab._grids import chebyshev_angles
+    from freelab.equilibrium import _chebyshev_trig, _splice_grid
+
+    for k in (64, 4096):
+        cos, sin = _chebyshev_trig(k)
+        assert np.array_equal(cos, np.cos(chebyshev_angles(k)))
+        assert np.array_equal(sin, np.sin(chebyshev_angles(k)))
+        assert _chebyshev_trig(k)[0] is cos
+    t_extra, order, cos = _splice_grid()
+    assert np.array_equal(t_extra, _splice_angles())
+    for table in (*_chebyshev_trig(4096), t_extra, order, cos):
+        with pytest.raises(ValueError):
+            table[0] = 0

@@ -440,3 +440,24 @@ def test_series_and_spline_residuals_agree_where_the_measure_is_off():
         spline = euler_lagrange_residual(mu, u)
         assert series > 1e-3 and spline > 1e-3, u.label
         assert abs(series - spline) <= 0.02 * spline, u.label
+
+
+def test_chebyshev_moments_read_the_shared_angle_table_bitwise():
+    from scipy.fft import dst
+
+    from freelab._angle_series import ANGLES, _angle_table, chebyshev_moments
+
+    n = ANGLES
+    theta = np.pi * np.arange(1, n) / n
+    for mu in (make_semicircular(), make_arcsine(1.3, 0.2), make_marchenko_pastur_family(0.7),
+               pushforward_monotone(make_semicircular(), lambda x: x + 0.25 * x ** 3)):
+        ps, xs = mu.quantile_ps, mu.quantile_xs
+        m, r = 0.5 * (xs[0] + xs[-1]), 0.5 * (xs[-1] - xs[0])
+        g = 1.0 - np.interp(m + r * np.cos(theta), xs, ps) - theta / np.pi
+        want = np.arange(1, n) * (np.pi / (2 * n)) * dst(g, type=1)
+        got_m, got_r, got = chebyshev_moments(ps, xs)
+        assert (got_m, got_r) == (m, r), mu.label
+        assert np.array_equal(got, want), mu.label
+    for table in _angle_table():
+        with pytest.raises(ValueError):
+            table[0] = 0.0

@@ -145,3 +145,23 @@ def test_random_translations_compose():
         one = translate(sig, a + b)
         assert abs(two.barycenter() - one.barycenter()) < 1e-9
         assert abs(two.support_lo - one.support_lo) < 1e-12
+
+
+def test_closed_form_tables_are_the_direct_angle_formula():
+    # the shared angle tables give the same bytes as solving for the angle
+    # at every build, and cannot be written through
+    from freelab._grids import QUANTILE_CELLS, cosine_graded
+    from freelab.measures import _semicircle_cos, _semicircle_theta_of_p
+
+    ps = cosine_graded(QUANTILE_CELLS)
+    theta = _semicircle_theta_of_p(ps)
+    shifted = _semicircle_theta_of_p(0.5 * (1.0 + ps))
+    for mean, var in ((0.0, 1.0), (0.3, 2.5), (-1e-3, 0.01)):
+        want = mean - 2.0 * np.sqrt(var) * np.cos(theta)
+        assert np.array_equal(make_semicircular(mean, var).quantile_xs, want)
+    for scale in (1.0, 0.37, 4.0):
+        want = np.maximum.accumulate((2.0 * np.sqrt(scale) * np.cos(shifted)) ** 2)
+        assert np.array_equal(make_marchenko_pastur_family(scale).quantile_xs, want)
+    for table in (_semicircle_cos(False), _semicircle_cos(True)):
+        with pytest.raises(ValueError):
+            table[0] = 0.0

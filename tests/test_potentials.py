@@ -225,3 +225,15 @@ def test_fenchel_young_gap_raises_past_a_nan_row():
     x, y, floor = err.value.witness
     assert floor < 0.0
     assert x == y
+
+
+def test_polynomial_derivatives_are_odd_products_of_x():
+    x = np.concatenate([[0.0], np.geomspace(1e-3, 1e3, 601)])
+    x = np.concatenate([x, -x])
+    for u, ref in [(quartic(g), 4.0 * g * x ** 3) for g in (0.25, 0.6, 1.0)] + [
+            (polynomial_even(c2, c4), 2.0 * c2 * x + 4.0 * c4 * x ** 3)
+            for c2, c4 in ((0.5, 0.125), (1.0, 0.3), (0.0, 2.0))]:
+        d = u.d(x)
+        assert np.all(np.abs(d - ref) <= 1e-15 * np.abs(ref)), u.label
+        assert d[0] == 0.0, u.label
+        assert np.array_equal(u.d(-x), -d), u.label
