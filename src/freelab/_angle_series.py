@@ -42,20 +42,26 @@ def chebyshev_moments(ps: np.ndarray, xs: np.ndarray):
     return m, r, weight * dst(g, type=1)
 
 
-def sine_sum(coeff: np.ndarray, t: np.ndarray) -> np.ndarray:
+def sine_tables(t: np.ndarray, kk: int) -> tuple[np.ndarray, ...]:
+    """sin(q B t), cos(q B t), cos(s t) and sin(s t) at the angles t, for
+    the blocks of `sine_sum` over kk modes: B = ceil(sqrt(kk + 1)), s < B."""
+    b = int(np.ceil(np.sqrt(kk + 1)))
+    st = np.outer(t, np.arange(b, dtype=float))
+    qt = np.outer(t, b * np.arange(-(-(kk + 1) // b), dtype=float))
+    return np.sin(qt), np.cos(qt), np.cos(st), np.sin(st)
+
+
+def sine_sum(coeff: np.ndarray, t: np.ndarray, tables=None) -> np.ndarray:
     """sum_{k >= 1} coeff[k - 1] sin(k t) at each angle t.
 
     With k = q B + s and B = ceil(sqrt(K + 1)), sin(k t) = sin(q B t)
     cos(s t) + cos(q B t) sin(s t), so the sum takes about 4 B sines and
     cosines per angle and two matrix products against the B-wide rows of
-    coefficients, instead of a table of K sines per angle.
+    coefficients, instead of a table of K sines per angle.  ``tables`` are
+    `sine_tables(t, coeff.size)`, passed in where t is a fixed grid.
     """
     kk = coeff.size
-    b = int(np.ceil(np.sqrt(kk + 1)))
-    rows = -(-(kk + 1) // b)
-    blocks = np.zeros((rows, b))
+    sin_q, cos_q, cos_s, sin_s = sine_tables(t, kk) if tables is None else tables
+    blocks = np.zeros((sin_q.shape[1], cos_s.shape[1]))
     blocks.flat[1:kk + 1] = coeff  # row q holds modes q B .. q B + B - 1
-    st = np.outer(t, np.arange(b, dtype=float))
-    qt = np.outer(t, b * np.arange(rows, dtype=float))
-    return np.sum(np.sin(qt) * (np.cos(st) @ blocks.T)
-                  + np.cos(qt) * (np.sin(st) @ blocks.T), axis=1)
+    return np.sum(sin_q * (cos_s @ blocks.T) + cos_q * (sin_s @ blocks.T), axis=1)

@@ -22,7 +22,8 @@ table that reports use); that series is exact on the solver's uniform-angle
 tables, where the public spline transform costs 40 to 60 times more.
 
 The fixed angle tables of a solve (cos and sin of the Chebyshev angles, the
-CDF table's splice grid) are built once and shared read-only.
+CDF table's splice grid and the trig tables of its sine sum) are built once
+and shared read-only.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import numpy as np
 from scipy.fft import dct, dst
 from scipy.optimize import brentq
 
-from ._angle_series import sine_sum as _sine_sum
+from ._angle_series import sine_sum as _sine_sum, sine_tables
 from ._grids import DEFAULT_NODES, chebyshev_angles, read_only
 from .errors import InvalidInputError, MultiCutError, SolverError
 from .logpotential import (
@@ -166,6 +167,12 @@ def _splice_grid():
     return read_only(t_extra, order, np.cos(theta[order]))
 
 
+@lru_cache(maxsize=4)
+def _splice_tables(kk: int):
+    """`sine_tables` of the splice angles for kk modes."""
+    return read_only(*sine_tables(_splice_grid()[0], kk))
+
+
 def _cdf_table(m: float, r: float, tau: np.ndarray):
     """Quantile table (ps ascending, xs ascending) from the tau series."""
     mm = _CDF_GRID
@@ -178,7 +185,7 @@ def _cdf_table(m: float, r: float, tau: np.ndarray):
     g = j / mm + (2.0 / np.pi) * series
 
     t_extra, order, cos = _splice_grid()
-    g_extra = t_extra / np.pi + (2.0 / np.pi) * _sine_sum(coeff[:kk], t_extra)
+    g_extra = t_extra / np.pi + (2.0 / np.pi) * _sine_sum(coeff[:kk], t_extra, _splice_tables(kk))
     g = np.concatenate([[0.0], g, [1.0], g_extra])[order]
 
     g = np.maximum.accumulate(np.clip(g, 0.0, 1.0))

@@ -42,6 +42,16 @@ the kernel sum, and the half-resolution pass is then skipped.
 Either way the error estimate lets downstream tolerances be chosen
 honestly.
 
+Log-Jacobian.  For a polynomial u', u'(x) - u'(y) = a (x - y) prod_j (x -
+zeta_j(y)) gives log|a| + sum_j int U(zeta_j(y)) dmu(y), with the log
+potential U(z) = log(r|phi|/2) - sum_k (2/k) c_k Re phi^-k at z' = (z - m)/r,
+phi = z' + sqrt(z' - 1) sqrt(z' + 1) (Mason & Handscomb 2003; Saff & Totik
+1997).  The y-integral runs in the angle against (1/pi)(1 + 2 sum c_k cos k
+theta), by Gauss-Legendre on pieces split where u'' = 0 on the support, the
+only places a root meets it; the moments stop once sum_{j > k} 2|c_j|/j is
+below 1e-10.  Tables that need more moments than the rule resolves, and other
+potentials, take the log-energy gain of pushing mu forward through u'.
+
 The Hilbert transform H mu(t) = (1/pi) PV int dmu(y) / (t - y) also has two
 routes, and here the caller chooses.  Public `hilbert_transform` runs a
 singularity subtraction in quantile coordinates on a cubic spline of the
@@ -124,6 +134,9 @@ _HILBERT_BATCH = 8
 CubicSpline = None
 # largest upper-half tail of sum 2 c_k^2 / k at which the series is accepted
 _SERIES_TAIL = 1e-10
+# Gauss-Legendre nodes per angle piece of log_jacobian's root route, and the
+# most Chebyshev moments that route sums
+_ROOT_NODES = 32
 
 
 @dataclass(frozen=True)
@@ -386,16 +399,68 @@ def hilbert_transform(mu: GridMeasure, t, cells: int = 4096):
     return out.reshape(ts.shape) if np.ndim(t) else float(out[0])
 
 
-def log_jacobian(mu: GridMeasure, u: Potential, cells: int = ENERGY_CELLS) -> EnergyValue:
-    """Mean log of the divided difference of u' along mu x mu.
+def _root_jacobian(mu: GridMeasure, coeffs) -> EnergyValue | None:
+    """`log_jacobian` for a polynomial u' with ascending coefficients
+    ``coeffs``, by the roots of its divided difference (module docstring);
+    None where the route does not apply."""
+    a = np.trim_zeros(np.asarray(coeffs, dtype=float), "b")
+    n = a.size - 2  # degree in x of the divided difference
+    if n < 0 or (n > 0 and not mu.quantile_xs[-1] > mu.quantile_xs[0]):
+        return None
+    lead = float(np.log(abs(a[-1])))
+    if n == 0:
+        return EnergyValue(lead, 0.0)
+    m, r, c = chebyshev_moments(mu.quantile_ps, mu.quantile_xs)
+    # tail[k] is sum_{j > k} 2 |c_j| / j; keep the fewest moments below it
+    tail = np.cumsum((2.0 * np.abs(c) / np.arange(1, ANGLES))[::-1])[::-1]
+    kk = int(np.argmax(tail < _SERIES_TAIL))
+    if not tail[kk] < _SERIES_TAIL or kk > _ROOT_NODES:
+        return None
+    ks = np.arange(1, kk + 1)
+    c, wc = c[:kk], 2.0 * c[:kk] / ks
+    # a root meets the support where u'' vanishes on it: split the angles there
+    flat = np.polynomial.polynomial.polyroots(np.polynomial.polynomial.polyder(a))
+    flat = flat.real[(np.abs(flat.imag) <= 1e-6 * (1.0 + np.abs(flat))) & (np.abs(flat.real - m) < r)]
+    edges = np.unique(np.r_[0.0, np.arccos((flat - m) / r), np.pi])
+    t, w = gauss_legendre_01(_ROOT_NODES)
 
-    Equals the log-energy gain of pushing mu forward through u', so it is
-    computed as exactly that difference.  Requires u' increasing on the
-    support (u strictly convex there).
+    def integral(bounds):
+        h = np.diff(bounds)[:, None]
+        theta, wt = (bounds[:-1, None] + h * t).ravel(), (h * w).ravel()
+        y = m + r * np.cos(theta)
+        # (u'(x) - u'(y)) / (x - y) = sum_i b_i x^i by synthetic division,
+        # b listed from x^n down; its roots are the companion eigenvalues
+        b = [np.full(y.size, a[-1])]
+        for aj in a[-2:0:-1]:
+            b.append(aj + y * b[-1])
+        comp = np.zeros((y.size, n, n))
+        comp[:, 0, :] = -np.stack(b[1:], axis=1) / a[-1]
+        comp[:, np.arange(1, n), np.arange(n - 1)] = 1.0
+        z = (np.linalg.eigvals(comp).astype(complex) - m) / r
+        phi = z + np.sqrt(z - 1.0) * np.sqrt(z + 1.0)
+        pot = np.log(r * np.abs(phi) / 2.0) - (phi[..., None] ** -ks).real @ wc
+        dens = (1.0 + 2.0 * (np.cos(np.outer(theta, ks)) @ c)) / np.pi
+        return lead + float(wt @ (dens * pot.sum(axis=1)))
+
+    coarse = integral(edges)
+    fine = integral(np.unique(np.r_[edges, 0.5 * (edges[1:] + edges[:-1])]))
+    return EnergyValue(fine, abs(fine - coarse) + n * float(tail[kk]) + 1e-15)
+
+
+def log_jacobian(mu: GridMeasure, u: Potential, cells: int = ENERGY_CELLS) -> EnergyValue:
+    """Mean log of the divided difference of u' along mu x mu; u' must
+    increase on the support.  By the root route of the module docstring
+    where it applies (error estimate: the change under halving its angle
+    pieces plus the moment tail), else as the log-energy gain of pushing mu
+    forward through u', the only route ``cells`` applies to.
     """
     slopes = u.d(mu.quantile_xs)
     if np.any(np.diff(slopes) < -1e-10 * (1.0 + np.max(np.abs(slopes)))):
         raise InvalidInputError("log_jacobian needs u' increasing on the support")
+    if u.deriv_coeffs is not None:
+        exact = _root_jacobian(mu, u.deriv_coeffs)
+        if exact is not None:
+            return exact
     nu = pushforward_monotone(mu, lambda x: u.d(x), label=f"grad({u.label})*{mu.label}")
     ea = log_energy(nu, cells)
     eb = log_energy(mu, cells)

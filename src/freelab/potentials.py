@@ -67,6 +67,9 @@ class Potential:
     growth_ok : bool
         Certificate that ``u(x) - 2 log|x|`` diverges, so the associated
         variational problems are well posed.
+    deriv_coeffs : tuple of float or None
+        Ascending coefficients of u' where it is a polynomial (``quadratic``,
+        ``quartic``, ``polynomial_even``, their shifts and tilts), else None.
     """
 
     fn: Callable
@@ -76,6 +79,7 @@ class Potential:
     is_convex: bool
     growth_ok: bool
     label: str
+    deriv_coeffs: tuple[float, ...] | None = None
 
     def value(self, x):
         arr = np.atleast_1d(np.asarray(x, dtype=float))
@@ -137,6 +141,7 @@ def quadratic(c: float = 1.0) -> Potential:
         domain_lo=-np.inf, domain_hi=np.inf,
         is_convex=c >= 0, growth_ok=c > 0,
         label=f"quadratic(c={c:g})",
+        deriv_coeffs=(0.0, float(c)),
     )
 
 
@@ -148,6 +153,7 @@ def quartic(g: float = 0.25) -> Potential:
         domain_lo=-np.inf, domain_hi=np.inf,
         is_convex=g >= 0, growth_ok=g > 0,
         label=f"quartic(g={g:g})",
+        deriv_coeffs=(0.0, 0.0, 0.0, 4.0 * g),
     )
 
 
@@ -160,6 +166,7 @@ def polynomial_even(c2: float, c4: float) -> Potential:
         is_convex=c2 >= 0 and c4 >= 0,
         growth_ok=c4 > 0 or (c4 == 0 and c2 > 0),
         label=f"poly(c2={c2:g},c4={c4:g})",
+        deriv_coeffs=(0.0, 2.0 * c2, 0.0, 4.0 * c4),
     )
 
 
@@ -223,12 +230,15 @@ def table_potential(xs, us, label: str = "table") -> Potential:
 
 def shift_potential(u: Potential, z: float) -> Potential:
     """x -> u(x - z): the graph moves right by z."""
+    poly = np.polynomial.Polynomial
+    coeffs = u.deriv_coeffs and tuple(poly(u.deriv_coeffs)(poly([-z, 1.0])).coef.tolist())
     return Potential(
         fn=lambda x: u.fn(np.asarray(x) - z),
         deriv=None if u.deriv is None else (lambda x: u.deriv(np.asarray(x) - z)),
         domain_lo=u.domain_lo + z, domain_hi=u.domain_hi + z,
         is_convex=u.is_convex, growth_ok=u.growth_ok,
         label=f"shifted({u.label},z={z:g})",
+        deriv_coeffs=coeffs,
     )
 
 
@@ -250,6 +260,7 @@ def tilt_linear(u: Potential, lam: float) -> Potential:
         domain_lo=u.domain_lo, domain_hi=u.domain_hi,
         is_convex=u.is_convex, growth_ok=growth,
         label=f"tilted({u.label},lam={lam:g})",
+        deriv_coeffs=u.deriv_coeffs and (u.deriv_coeffs[0] + lam, *u.deriv_coeffs[1:]),
     )
 
 

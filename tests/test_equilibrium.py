@@ -457,7 +457,14 @@ def test_cdf_table_matches_the_sine_table_splice(monkeypatch):
 
     series = _tau_series(monkeypatch)
     tables = [eq_mod._cdf_table(m, r, tau) for _, m, r, tau in series]
-    monkeypatch.setattr(eq_mod, "_sine_sum", _direct_sine_sum)
+
+    def direct(coeff, t, tables):
+        # the splice's cached trig tables for this mode count
+        assert tables is eq_mod._splice_tables(coeff.size)
+        assert np.array_equal(tables[3][:, 1], np.sin(t))
+        return _direct_sine_sum(coeff, t)
+
+    monkeypatch.setattr(eq_mod, "_sine_sum", direct)
     for (name, m, r, tau), (ps, xs) in zip(series, tables):
         ref_ps, ref_xs = eq_mod._cdf_table(m, r, tau)
         assert ps.shape == ref_ps.shape, name

@@ -34,6 +34,8 @@ from freelab.potentials import (
     polynomial_even,
     quadratic,
     quartic,
+    shift_potential,
+    tilt_linear,
 )
 
 HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
@@ -250,6 +252,78 @@ def test_log_jacobian_nonlinear_consistency():
     off = ~np.eye(512, dtype=bool)
     direct = np.log(du[off] / dx[off]).mean()
     assert abs(got - direct) < 5e-4
+
+
+# Independent log-Jacobians: the defining double integral by nested mpmath
+# quadrature (20 digits) on the exact densities, e.g. (4 g x^2 + 2 g a^2)
+# sqrt(a^2 - x^2) / (2 pi) with a^4 = 4 / (3 g) for quartic(g), whose
+# jac - log(g) / 2 is the same at every g by scaling
+QUARTIC_JACOBIAN = 0.763327763645382002
+POLY_JACOBIAN = 0.44592892400961890775  # poly(c2=0.5, c4=0.125)
+SEMICIRCLE_POLY_JACOBIAN = 0.310193975409071431  # poly(c2=0.5, c4=0.05) on sigma
+
+
+def test_log_jacobian_of_polynomial_slopes_matches_the_oracles():
+    from freelab.equilibrium import solve_equilibrium
+
+    cases = [(quartic(g), QUARTIC_JACOBIAN + 0.5 * np.log(g)) for g in (0.1, 0.25, 1.0, 4.0)]
+    for u, exact in cases + [(polynomial_even(0.5, 0.125), POLY_JACOBIAN)]:
+        jac = log_jacobian(solve_equilibrium(u).measure, u)
+        err = abs(jac.value - exact)
+        assert err <= 1e-12, u.label
+        assert jac.error_est >= err, u.label
+
+
+def test_log_jacobian_of_quadratic_is_exactly_log_c():
+    from freelab.equilibrium import solve_equilibrium
+
+    for c in (0.25, 3.0):
+        u = quadratic(c)
+        for mu in (make_semicircular(), solve_equilibrium(u).measure):
+            assert log_jacobian(mu, u).value == np.log(c), (c, mu.label)
+
+
+def test_log_jacobian_declines_the_root_route_on_noisy_moments():
+    # sigma's cosine-graded table carries noisy moments at every k: the root
+    # route would sum thousands of them, so the pushforward route answers
+    import freelab.logpotential as lp_mod
+
+    sig, u = make_semicircular(), polynomial_even(0.5, 0.05)
+    assert lp_mod._root_jacobian(sig, u.deriv_coeffs) is None
+    assert abs(log_jacobian(sig, u).value - SEMICIRCLE_POLY_JACOBIAN) <= 1e-7
+
+
+def test_inverse_free_lsi_reaches_the_quadrature_only_without_slope_coefficients(monkeypatch):
+    import freelab.logpotential as lp_mod
+    from freelab.inequalities import verify
+
+    calls = []
+    energy_at = lp_mod._energy_at
+
+    def counted(mu, cells):
+        calls.append(cells)
+        return energy_at(mu, cells)
+
+    monkeypatch.setattr(lp_mod, "_energy_at", counted)
+    for u in (quadratic(2.0), quartic(0.25), polynomial_even(0.5, 0.125)):
+        assert np.isfinite(verify("INVERSE_FREE_LSI", {"f": u}).rhs), u.label
+    assert calls == []
+    # abs has no slope coefficients: one quadrature pass finds the atoms of
+    # its u'-pushforward, jac is nan, and the bound holds trivially
+    report = verify("INVERSE_FREE_LSI", {"f": abs_potential()})
+    assert calls == [ENERGY_CELLS]
+    assert report.rhs == -np.inf
+
+
+def test_log_jacobian_is_carried_through_tilt_and_shift():
+    from freelab.equilibrium import solve_equilibrium
+
+    for u in (quartic(0.6), polynomial_even(0.5, 0.125)):
+        mu = solve_equilibrium(u).measure
+        jac = log_jacobian(mu, u).value
+        assert log_jacobian(mu, tilt_linear(u, 0.3)).value == jac, u.label
+        moved = log_jacobian(translate(mu, 0.7), shift_potential(u, 0.7)).value
+        assert abs(moved - jac) <= 1e-13, u.label
 
 
 def test_double_quad_tolerance_is_respected():

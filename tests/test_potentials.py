@@ -237,3 +237,17 @@ def test_polynomial_derivatives_are_odd_products_of_x():
         assert np.all(np.abs(d - ref) <= 1e-15 * np.abs(ref)), u.label
         assert d[0] == 0.0, u.label
         assert np.array_equal(u.d(-x), -d), u.label
+
+
+def test_polynomial_slope_coefficients_follow_shift_and_tilt():
+    x = np.linspace(-3.0, 3.0, 61)
+    for u in (quadratic(2.5), quartic(0.6), polynomial_even(0.5, 0.125)):
+        for v in (u, tilt_linear(u, -0.7), shift_potential(u, 0.4),
+                  tilt_linear(shift_potential(u, -1.3), 0.2)):
+            poly = np.polynomial.polynomial.polyval(x, v.deriv_coeffs)
+            assert np.max(np.abs(poly - v.d(x))) <= 1e-13 * (1.0 + np.max(np.abs(poly))), v.label
+    for u in (abs_potential(), arcsine_indicator(1.0), linear_halfline(1.0),
+              table_potential([-1.0, 0.0, 1.0], [1.0, 0.0, 1.0]),
+              legendre_transform(quadratic(1.0)), moreau_yosida(quadratic(1.0), 0.5),
+              tilt_linear(abs_potential(), 0.3), shift_potential(abs_potential(), 1.0)):
+        assert u.deriv_coeffs is None, u.label
