@@ -6,9 +6,12 @@ function G(theta) = mu(x >= m + r cos theta) by parts:
 c_k = k int_0^pi sin(k theta) (G(theta) - theta/pi) dtheta.  The log
 energy and the Hilbert transform are both series in these moments, and the
 equilibrium solver's CDF is a sine series in its own; this leaf module
-holds the two pieces they share, so that `logpotential` and `equilibrium`
-reach them without importing each other.  Their angle table is built once
-and shared read-only.
+holds the pieces they share, so that the modules reach them without
+importing each other.  A measure whose moments are known exactly carries
+them as its ``series`` (m, r, tau), tau_k = c_k; its log energy is then
+log(r/2) - 2 sum tau_k^2 / k, its moments are finite sums, and its quantile
+solves G(theta) = theta/pi + (2/pi) sum (tau_k / k) sin k theta = 1 - p.
+The angle tables are built once and shared read-only.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.fft import dst
 
-from ._grids import read_only
+from ._grids import gauss_legendre_01, read_only
 
 # uniform angles at which G is read; the DST-I runs on the interior ones
 ANGLES = 2 ** 14
@@ -40,6 +43,43 @@ def chebyshev_moments(ps: np.ndarray, xs: np.ndarray):
     frac, cos, weight = _angle_table()
     g = 1.0 - np.interp(m + r * cos, xs, ps) - frac
     return m, r, weight * dst(g, type=1)
+
+
+def series_of(mu):
+    """(m, r, c): the series mu carries, else its table's `chebyshev_moments`."""
+    return mu.series or chebyshev_moments(mu.quantile_ps, mu.quantile_xs)
+
+
+def series_energy(r: float, tau: np.ndarray) -> float:
+    """Log energy log(r/2) - 2 sum tau_k^2 / k of an angle series."""
+    return float(np.log(r / 2.0) - 2.0 * np.sum(tau ** 2 / np.arange(1, tau.size + 1)))
+
+
+def series_moment(series, k: int) -> float:
+    """k-th raw moment of an angle series: (m + r x)^k in Chebyshev
+    polynomials T_j, each integrating to tau_j."""
+    m, r, tau = series
+    a = np.polynomial.chebyshev.chebpow([m, r], k)
+    return float(a[0] + a[1:1 + tau.size] @ tau[:k])
+
+
+@lru_cache(maxsize=8)
+def quantile_cos(tau: tuple, n: int) -> np.ndarray:
+    """cos(theta(p)), G(theta(p)) = 1 - p, at the n-point `gauss_legendre_01`
+    nodes p for the angle series ``tau`` (a tuple): pi G inverted on 4097
+    uniform angles, then two Newton steps."""
+    tau = np.array(tau)
+    ks = np.arange(1, tau.size + 1)
+    sin_w = tau / ks
+    target = np.pi * (1.0 - gauss_legendre_01(n)[0])
+    grid = np.linspace(0.0, np.pi, 4097)
+    pi_g = grid + 2.0 * np.sin(np.outer(grid, ks)) @ sin_w
+    theta = np.interp(target, np.maximum.accumulate(pi_g), grid)
+    for _ in range(2):
+        kt = np.outer(theta, ks)
+        slope = np.maximum(1.0 + 2.0 * np.cos(kt) @ tau, 1e-300)
+        theta = np.clip(theta - (theta + 2.0 * np.sin(kt) @ sin_w - target) / slope, 0.0, np.pi)
+    return read_only(np.cos(theta))[0]
 
 
 def sine_tables(t: np.ndarray, kk: int) -> tuple[np.ndarray, ...]:

@@ -12,14 +12,15 @@ log(r/2) - 2 sum tau_k^2 / k.  Soft edges determine (m, r) through the two
 endpoint conditions of u'; hard edges pin an endpoint at the domain wall and
 the one remaining soft-edge condition (if any) is solved by bracketing.
 
-The Euler-Lagrange and Schwinger-Dyson residuals of a solve are
-diagnostics: an :class:`EquilibriumResult` computes each on first read and
-caches it, so solves whose residuals nobody reads never pay for them.  The
-EL residual checks 2 pi H mu = u' at the probes of
-`logpotential.euler_lagrange_residual`, with H mu summed from the Chebyshev
-moments of the result's own quantile table (not from tau, so it checks the
-table that reports use); that series is exact on the solver's uniform-angle
-tables, where the public spline transform costs 40 to 60 times more.
+An :class:`EquilibriumResult` keeps (m, r, tau) as its ``series``, which
+the scalar reads take; its quantile table (``measure``) and the
+Euler-Lagrange and Schwinger-Dyson residuals, diagnostics of that table,
+are computed on first read and cached.  The EL residual checks 2 pi H mu =
+u' at the probes of `logpotential.euler_lagrange_residual`, with H mu
+summed from the Chebyshev moments of the result's own quantile table (not
+from tau, so it checks the table that reports use); that series is exact
+on the solver's uniform-angle tables, where the public spline transform
+costs 40 to 60 times more.
 
 The fixed angle tables of a solve (cos and sin of the Chebyshev angles, the
 CDF table's splice grid and the trig tables of its sine sum) are built once
@@ -28,14 +29,14 @@ and shared read-only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.fft import dct, dst
 from scipy.optimize import brentq
 
-from ._angle_series import sine_sum as _sine_sum, sine_tables
+from ._angle_series import series_energy, series_moment, sine_sum as _sine_sum, sine_tables
 from ._grids import DEFAULT_NODES, chebyshev_angles, read_only
 from .errors import InvalidInputError, MultiCutError, SolverError
 from .logpotential import (
@@ -77,11 +78,12 @@ class SolverSettings:
 class EquilibriumResult:
     """A solved equilibrium measure and its scalar summaries.
 
-    ``el_residual`` and ``sd_residual`` are computed on first read from
-    the measure and the potential, then cached on the instance.
+    ``series`` is (m, r, tau) as `GridMeasure.series` holds it.  The
+    ``measure`` (its quantile table), ``el_residual`` and ``sd_residual``
+    are computed on first read, then cached on the instance.
     """
 
-    measure: GridMeasure
+    series: tuple = field(repr=False, compare=False)
     support_lo: float
     support_hi: float
     el_constant: float
@@ -92,6 +94,13 @@ class EquilibriumResult:
     energy: float            # log-energy of the measure, from the tau series
     potential_moment: float  # int u d(nu)
     potential: Potential = field(repr=False, compare=False)
+
+    @cached_property
+    def measure(self) -> GridMeasure:
+        m, r, tau = self.series
+        ps, xs = _cdf_table(m, r, np.r_[0.0, tau])
+        table = from_quantile_table(ps, xs, label=f"equilibrium({self.potential.label})")
+        return replace(table, series=self.series)
 
     @cached_property
     def el_residual(self) -> float:
@@ -289,16 +298,14 @@ def _assemble(u, m, r, tau, method, iterations, cfg) -> EquilibriumResult:
         raise MultiCutError(
             "equilibrium density is negative on the one-cut ansatz; "
             "the support is likely disconnected")
-    ps, xs = _cdf_table(m, r, tau)
-    measure = from_quantile_table(ps, xs, label=f"equilibrium({u.label})")
-    ks = np.arange(1, tau.size)
-    energy = float(np.log(r / 2.0) - 2.0 * np.sum(tau[1:] ** 2 / ks))
+    series = (float(m), float(r), read_only(tau[1:])[0])
+    energy = series_energy(r, series[2])
     pot_vals = u.value(m + r * _chebyshev_trig(tau.size)[0])
     pot_moment = float((np.pi / tau.size) * np.sum(pot_vals * dens))
     pressure = energy + 0.75 + HALF_LOG_2PI - pot_moment
     el_constant = pot_moment - 2.0 * energy
     return EquilibriumResult(
-        measure=measure, support_lo=float(m - r), support_hi=float(m + r),
+        series=series, support_lo=float(m - r), support_hi=float(m + r),
         el_constant=el_constant, pressure=float(pressure),
         iterations=iterations, method=method, converged=True,
         energy=energy, potential_moment=pot_moment, potential=u)
@@ -462,7 +469,7 @@ def find_centering_shift(f: Potential, search_box=(-8.0, 8.0),
     curve = []
 
     def bar(lam: float) -> float:
-        val = solve_equilibrium(tilt_linear(f, lam), cfg).measure.barycenter()
+        val = series_moment(solve_equilibrium(tilt_linear(f, lam), cfg).series, 1)
         curve.append((float(lam), float(val)))
         return val
 

@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from functools import cache
 from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
 
+from ._angle_series import series_moment
 from ._grids import TRANSPORT_POINTS
 from .equilibrium import SolverSettings, solve_equilibrium
 from .errors import HypothesisError, InvalidInputError
@@ -146,18 +146,6 @@ def _entropy(res) -> float:
 _SIGMA = make_semicircular()
 
 
-@cache
-def _sigma_entropy() -> float:
-    # _SIGMA never changes; its entropy is computed once, on first use
-    return float(relative_entropy_semicircular(_SIGMA))
-
-
-def _rel_entropy(mu: GridMeasure) -> float:
-    if mu is _SIGMA:
-        return _sigma_entropy()
-    return float(relative_entropy_semicircular(mu))
-
-
 def _free_talagrand(inputs, cfg):
     # the nu-against-sigma specialization of SSFTI, routed through the same
     # code so the two reports agree to roundoff
@@ -170,7 +158,8 @@ def _ssfti(inputs, cfg):
     nu = _measure(inputs, "nu")
     _require_centered("mu", mu.barycenter())
     lhs = w2(mu, nu).cost_squared
-    rhs = 2.0 * _rel_entropy(mu) + 2.0 * _rel_entropy(nu)
+    rhs = 2.0 * float(relative_entropy_semicircular(mu)) \
+        + 2.0 * float(relative_entropy_semicircular(nu))
     return lhs, rhs, {}, TRANSPORT_POINTS
 
 
@@ -189,7 +178,7 @@ def _inverse_free_lsi(inputs, cfg):
     _require_convex(u)
     res = solve_equilibrium(u, cfg)
     lhs = (HALF_LOG_2PI + 0.5) - _entropy(res)
-    jac = float(log_jacobian(res.measure, u))
+    jac = float(log_jacobian(res, u))
     # flat stretches of u' push mass onto atoms: the image energy diverges
     # to -inf and the quadrature reports nan; the bound then holds trivially
     rhs = 0.5 * jac if np.isfinite(jac) else -np.inf
@@ -201,7 +190,7 @@ def _free_santalo(inputs, cfg):
     g = _potential(inputs, "g")
     rf = solve_equilibrium(f, cfg)
     rg = solve_equilibrium(g, cfg)
-    _require_centered("the equilibrium of f", rf.measure.barycenter())
+    _require_centered("the equilibrium of f", series_moment(rf.series, 1))
     box = 1.5 * max(abs(rf.support_lo), abs(rf.support_hi),
                     abs(rg.support_lo), abs(rg.support_hi))
     floor = fenchel_young_gap(f, g, box)
@@ -214,7 +203,7 @@ def _free_santalo(inputs, cfg):
 def _free_santalo_shifted(inputs, cfg):
     f = _potential(inputs, "f")
     g = _potential(inputs, "g")
-    z = solve_equilibrium(f, cfg).measure.barycenter()
+    z = series_moment(solve_equilibrium(f, cfg).series, 1)
     # f(z + .) has a centered equilibrium; g - z id keeps the duality gap
     shifted = {"f": shift_potential(f, -z), "g": tilt_linear(g, -z)}
     lhs, rhs, extra, res = _free_santalo(shifted, cfg)

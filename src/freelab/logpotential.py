@@ -1,13 +1,16 @@
 """Logarithmic energy, free entropy, and Euler-Lagrange diagnostics.
 
-The log energy has two routes, chosen by the measure itself.
+The log energy has three routes, chosen by the measure itself.
 
-Series.  On the support [m - r, m + r], log|x - y| = log(r/2) -
+Carried series.  On the support [m - r, m + r], log|x - y| = log(r/2) -
 sum_k (2/k) T_k(x') T_k(y') in the rescaled variables x' = (x - m)/r, so
-E(mu) = log(r/2) - sum_k 2 c_k^2 / k with the Chebyshev moments c_k of mu.
-Integration by parts in the angle x' = cos(theta) gives
-c_k = k int_0^pi sin(k theta) (G(theta) - theta/pi) dtheta, where G is
-the angle distribution function; G is read off the quantile table at
+E(mu) = log(r/2) - sum_k 2 c_k^2 / k with the Chebyshev moments c_k of mu:
+a finite sum where mu carries its exact ``series`` (on a solve, the
+solver's energy bit for bit).
+
+Table series.  Otherwise integration by parts in the angle x' = cos(theta)
+gives c_k = k int_0^pi sin(k theta) (G(theta) - theta/pi) dtheta, where G
+is the angle distribution function; G is read off the quantile table at
 2^14 uniform angles and all moments come from one DST-I.  The series is
 accepted when its upper-half tail, sum over k >= 2^13 of 2 c_k^2 / k, is
 below 1e-10; its error estimate is the Richardson difference against the
@@ -49,8 +52,9 @@ phi = z' + sqrt(z' - 1) sqrt(z' + 1) (Mason & Handscomb 2003; Saff & Totik
 1997).  The y-integral runs in the angle against (1/pi)(1 + 2 sum c_k cos k
 theta), by Gauss-Legendre on pieces split where u'' = 0 on the support, the
 only places a root meets it; the moments stop once sum_{j > k} 2|c_j|/j is
-below 1e-10.  Tables that need more moments than the rule resolves, and other
-potentials, take the log-energy gain of pushing mu forward through u'.
+below 1e-10, from the carried series where there is one.  Tables that need
+more moments than the rule resolves, and other potentials, take the
+log-energy gain of pushing mu forward through u'.
 
 The Hilbert transform H mu(t) = (1/pi) PV int dmu(y) / (t - y) also has two
 routes, and here the caller chooses.  Public `hilbert_transform` runs a
@@ -81,8 +85,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._angle_series import ANGLES, chebyshev_moments, sine_sum
-from ._grids import ENERGY_CELLS, GL2_T, GL2_W, GL4_T, GL4_W, cosine_graded, gauss_legendre_01
+from ._angle_series import ANGLES, chebyshev_moments, series_energy, series_of, sine_sum
+from ._grids import (
+    ENERGY_CELLS, GL2_T, GL2_W, GL4_T, GL4_W, chebyshev_angles, cosine_graded, gauss_legendre_01)
 from .errors import InvalidInputError, SingularEvaluationError
 from .measures import GridMeasure, moment, pushforward_monotone
 from .potentials import Potential
@@ -255,14 +260,18 @@ def _series_energy(ps: np.ndarray, xs: np.ndarray) -> tuple[float, float]:
 def log_energy(mu: GridMeasure, cells: int = ENERGY_CELLS) -> EnergyValue:
     """Double integral of log|x - y| against mu x mu.
 
-    Takes the Chebyshev series of the module docstring when its upper-half
-    tail is below 1e-10, with error estimate |E - E_2| / 3 + tail, E_2 being
-    the series of the quantile table with every other row dropped (the end
-    rows kept).  Otherwise, and for a support of zero width, runs the
-    quadrature at ``cells`` and ``cells // 2`` cells, with error estimate
-    |full - half| / 3; ``cells`` sets only that fallback's resolution.  A
-    nan full pass (atoms) returns nan for both without the half pass.
+    Takes the carried series where there is one (error estimate: rounding),
+    else the table's Chebyshev series when its upper-half tail is below
+    1e-10, with error estimate |E - E_2| / 3 + tail, E_2 being the series
+    of the table with every other row dropped (the end rows kept).
+    Otherwise, and for a support of zero width, runs the quadrature at
+    ``cells`` and ``cells // 2`` cells, with error estimate |full - half| /
+    3; ``cells`` sets only that fallback's resolution.  A nan full pass
+    (atoms) returns nan for both without the half pass.
     """
+    if mu.series is not None:
+        value = series_energy(mu.series[1], mu.series[2])
+        return EnergyValue(value, 1e-15 * (1.0 + abs(value)))
     ps, xs = mu.quantile_ps, mu.quantile_xs
     if xs[-1] > xs[0]:
         value, tail = _series_energy(ps, xs)
@@ -399,22 +408,22 @@ def hilbert_transform(mu: GridMeasure, t, cells: int = 4096):
     return out.reshape(ts.shape) if np.ndim(t) else float(out[0])
 
 
-def _root_jacobian(mu: GridMeasure, coeffs) -> EnergyValue | None:
+def _root_jacobian(series, coeffs) -> EnergyValue | None:
     """`log_jacobian` for a polynomial u' with ascending coefficients
-    ``coeffs``, by the roots of its divided difference (module docstring);
-    None where the route does not apply."""
+    ``coeffs`` on the measure with moments (m, r, c), by the roots of its
+    divided difference (module docstring); None where it does not apply."""
     a = np.trim_zeros(np.asarray(coeffs, dtype=float), "b")
     n = a.size - 2  # degree in x of the divided difference
-    if n < 0 or (n > 0 and not mu.quantile_xs[-1] > mu.quantile_xs[0]):
+    m, r, c = series
+    if n < 0 or (n > 0 and not r > 0):
         return None
     lead = float(np.log(abs(a[-1])))
     if n == 0:
         return EnergyValue(lead, 0.0)
-    m, r, c = chebyshev_moments(mu.quantile_ps, mu.quantile_xs)
     # tail[k] is sum_{j > k} 2 |c_j| / j; keep the fewest moments below it
-    tail = np.cumsum((2.0 * np.abs(c) / np.arange(1, ANGLES))[::-1])[::-1]
+    tail = np.cumsum(np.r_[0.0, (2.0 * np.abs(c) / np.arange(1, c.size + 1))[::-1]])[::-1]
     kk = int(np.argmax(tail < _SERIES_TAIL))
-    if not tail[kk] < _SERIES_TAIL or kk > _ROOT_NODES:
+    if kk > _ROOT_NODES:
         return None
     ks = np.arange(1, kk + 1)
     c, wc = c[:kk], 2.0 * c[:kk] / ks
@@ -447,20 +456,26 @@ def _root_jacobian(mu: GridMeasure, coeffs) -> EnergyValue | None:
     return EnergyValue(fine, abs(fine - coarse) + n * float(tail[kk]) + 1e-15)
 
 
-def log_jacobian(mu: GridMeasure, u: Potential, cells: int = ENERGY_CELLS) -> EnergyValue:
+def log_jacobian(mu, u: Potential, cells: int = ENERGY_CELLS) -> EnergyValue:
     """Mean log of the divided difference of u' along mu x mu; u' must
     increase on the support.  By the root route of the module docstring
     where it applies (error estimate: the change under halving its angle
     pieces plus the moment tail), else as the log-energy gain of pushing mu
     forward through u', the only route ``cells`` applies to.
+
+    ``mu`` is a measure, or a solve (`EquilibriumResult`), whose table is
+    then built only for the pushforward route.  u' is checked at the table
+    rows, or at the solver's Chebyshev nodes where mu carries a series.
     """
-    slopes = u.d(mu.quantile_xs)
+    s = mu.series
+    slopes = u.d(mu.quantile_xs if s is None else s[0] - s[1] * np.cos(chebyshev_angles()))
     if np.any(np.diff(slopes) < -1e-10 * (1.0 + np.max(np.abs(slopes)))):
         raise InvalidInputError("log_jacobian needs u' increasing on the support")
     if u.deriv_coeffs is not None:
-        exact = _root_jacobian(mu, u.deriv_coeffs)
+        exact = _root_jacobian(series_of(mu), u.deriv_coeffs)
         if exact is not None:
             return exact
+    mu = getattr(mu, "measure", mu)
     nu = pushforward_monotone(mu, lambda x: u.d(x), label=f"grad({u.label})*{mu.label}")
     ea = log_energy(nu, cells)
     eb = log_energy(mu, cells)

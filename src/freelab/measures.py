@@ -1,7 +1,8 @@
 """Compactly supported probability measures on the real line.
 
-A :class:`GridMeasure` is its support and a monotone quantile table.  Every
-integral the toolkit takes (moments, W2, log energies) reads that table, and
+A :class:`GridMeasure` is its support and a monotone quantile table, and
+its exact Chebyshev ``series`` where one is known.  Moments, W2 and log
+energies read the series where there is one and the table otherwise, and
 the density, where one is wanted, is the table's derivative
 (:meth:`GridMeasure.density_at`).
 
@@ -19,6 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from ._angle_series import series_moment
 from ._grids import QUANTILE_CELLS, cosine_graded, gauss_legendre_01, read_only
 from .errors import InvalidInputError
 
@@ -48,6 +50,10 @@ class GridMeasure:
     quantile_ps, quantile_xs : ndarray
         Monotone quantile table with ``quantile_ps[0] == 0`` and
         ``quantile_ps[-1] == 1``; ``quantile_xs`` spans the support.
+    series : tuple or None
+        ``(m, r, tau)``, the exact angle series (`_angle_series`) that the
+        table renders: set by the closed forms and the solver, shifted by
+        `translate`, None for measures built from tables or pushed forward.
     """
 
     support_lo: float
@@ -55,6 +61,7 @@ class GridMeasure:
     quantile_ps: np.ndarray
     quantile_xs: np.ndarray
     label: str = "measure"
+    series: tuple | None = None
 
     def quantile(self, p):
         """Evaluate the quantile function by monotone interpolation."""
@@ -130,6 +137,10 @@ def _semicircle_theta_of_p(p: np.ndarray) -> np.ndarray:
     return theta
 
 
+# angle series of the semicircle, (2/pi) sin^2, Marchenko-Pastur, (1 - cos)/pi, and arcsine
+_SEMICIRCLE_TAU, _MP_TAU, _NO_TAU = read_only(np.array([0.0, -0.5]), np.array([-0.5]), np.zeros(0))
+
+
 @lru_cache(maxsize=2)
 def _semicircle_cos(shifted: bool) -> np.ndarray:
     """cos(theta(p)) at the grid's ps, or at (1 + ps)/2 (Marchenko-Pastur)."""
@@ -148,7 +159,8 @@ def make_semicircular(mean: float = 0.0, variance: float = 1.0) -> GridMeasure:
     ps = cosine_graded(QUANTILE_CELLS)
     xs = mean - r * _semicircle_cos(False)
     return GridMeasure(float(xs[0]), float(xs[-1]), ps, xs,
-                       f"semicircle(mean={mean:g},var={variance:g})")
+                       f"semicircle(mean={mean:g},var={variance:g})",
+                       (float(mean), float(r), _SEMICIRCLE_TAU))
 
 
 def make_arcsine(radius: float = 1.0, center: float = 0.0) -> GridMeasure:
@@ -158,7 +170,8 @@ def make_arcsine(radius: float = 1.0, center: float = 0.0) -> GridMeasure:
     ps = cosine_graded(QUANTILE_CELLS)
     xs = center - radius * np.cos(np.pi * ps)  # exact quantile function
     return GridMeasure(float(xs[0]), float(xs[-1]), ps, xs,
-                       f"arcsine(radius={radius:g},center={center:g})")
+                       f"arcsine(radius={radius:g},center={center:g})",
+                       (float(center), float(radius), _NO_TAU))
 
 
 def make_marchenko_pastur_family(scale: float = 1.0) -> GridMeasure:
@@ -173,7 +186,8 @@ def make_marchenko_pastur_family(scale: float = 1.0) -> GridMeasure:
     ps = cosine_graded(QUANTILE_CELLS)
     xs = (2.0 * np.sqrt(scale) * _semicircle_cos(True)) ** 2
     xs = np.maximum.accumulate(xs)  # guard monotonicity at roundoff
-    return GridMeasure(float(xs[0]), float(xs[-1]), ps, xs, f"mp(scale={scale:g})")
+    return GridMeasure(float(xs[0]), float(xs[-1]), ps, xs, f"mp(scale={scale:g})",
+                       (2.0 * scale, 2.0 * scale, _MP_TAU))
 
 
 def from_quantile_table(ps, xs, label: str = "table") -> GridMeasure:
@@ -218,22 +232,25 @@ def from_density_table(xs, density, label: str = "table") -> GridMeasure:
 
 
 def moment(mu, k: int) -> float:
-    """k-th raw moment."""
+    """k-th raw moment: a finite sum where mu carries a series."""
     if isinstance(mu, AtomicMeasure):
         return float(np.sum(mu.weights * mu.points ** k))
+    if mu.series is not None:
+        return series_moment(mu.series, k)
     t, w = gauss_legendre_01()
     q = mu.quantile(t)
     return float(np.sum(w * q ** k))
 
 
 def translate(mu: GridMeasure, a: float) -> GridMeasure:
-    """Pushforward under x -> x + a."""
+    """Pushforward under x -> x + a; a series moves its center m."""
     return dataclasses.replace(
         mu,
         support_lo=mu.support_lo + a,
         support_hi=mu.support_hi + a,
         quantile_xs=mu.quantile_xs + a,
         label=f"translate({mu.label},{a:g})",
+        series=None if mu.series is None else (mu.series[0] + a, *mu.series[1:]),
     )
 
 

@@ -4,7 +4,10 @@ In one dimension the monotone (comonotone) coupling is optimal for convex
 costs, so W2 and the maximal-correlation functional reduce to quantile
 integrals.  All pairwise quantities are evaluated on one shared
 Gauss-Legendre grid on (0, 1): polarization and translation identities then
-hold to machine precision rather than to quadrature tolerance.
+hold to machine precision rather than to quadrature tolerance.  Where both
+measures carry angle series of at most 64 terms, W2 and the maximal
+correlation solve them for the quantiles at those nodes
+(`_angle_series.quantile_cos`).
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._angle_series import quantile_cos
 from ._grids import TRANSPORT_POINTS, gauss_legendre_01
 from .errors import InvalidInputError
 from .logpotential import chi
@@ -46,7 +50,10 @@ class TransportValue:
 
 def _shared_quantiles(mu: GridMeasure, nu: GridMeasure, n: int):
     t, w = gauss_legendre_01(n)
-    return mu.quantile(t), nu.quantile(t), w
+    series = mu.series, nu.series
+    if any(s is None or s[2].size > 64 for s in series):
+        return mu.quantile(t), nu.quantile(t), w
+    return (*(m + r * quantile_cos(tuple(tau.tolist()), n) for m, r, tau in series), w)
 
 
 def w2(mu: GridMeasure, nu: GridMeasure, n: int = TRANSPORT_POINTS) -> TransportValue:

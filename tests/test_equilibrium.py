@@ -402,7 +402,7 @@ def test_tilted_abs_solves():
 
 def _tau_series(monkeypatch):
     """(name, m, r, tau) of five solves, one per edge configuration, read
-    at the solver's call of _cdf_table."""
+    at the call of _cdf_table that the first read of ``measure`` makes."""
     import freelab.equilibrium as eq_mod
 
     seen = []
@@ -419,8 +419,10 @@ def _tau_series(monkeypatch):
                             ("wall-left", linear_halfline(1.5), "wall-left"),
                             ("wall-both", arcsine_indicator(2.5), "wall-both"),
                             ("legendre", legendre_transform(quadratic(2.0)), "soft")):
-        assert solve_equilibrium(u).method == method, name
-        out.append((name, *seen[-1]))
+        res = solve_equilibrium(u)
+        assert res.method == method and not seen, name
+        res.measure
+        out.append((name, *seen.pop()))
     monkeypatch.setattr(eq_mod, "_cdf_table", table)
     return out
 
@@ -525,3 +527,46 @@ def test_fixed_angle_tables_are_shared_and_read_only():
     for table in (*_chebyshev_trig(4096), t_extra, order, cos):
         with pytest.raises(ValueError):
             table[0] = 0
+
+
+def _count_cdf_tables(monkeypatch):
+    import freelab.equilibrium as eq_mod
+
+    calls = []
+    table = eq_mod._cdf_table
+
+    def counted(m, r, tau):
+        calls.append((m, r, tau))
+        return table(m, r, tau)
+
+    monkeypatch.setattr(eq_mod, "_cdf_table", counted)
+    return calls
+
+
+def test_scalar_reads_of_a_solve_build_no_table(monkeypatch, tmp_path):
+    from freelab.cli import main
+    from freelab.inequalities import verify
+
+    calls = _count_cdf_tables(monkeypatch)
+    for u in (quadratic(1.0), quartic(0.25), polynomial_even(0.5, 0.125)):
+        verify("INVERSE_FREE_LSI", {"f": u})
+    verify("INVERSE_SANTALO", {"f": quadratic(2.0)})
+    verify("FREE_BRUNN_MINKOWSKI", {"f": quadratic(1.0), "g": quadratic(2.0),
+                                    "u3": quadratic(4.0 / 3.0), "theta": 0.5})
+    assert main(["pressure", "--potential", "quartic:g=0.25",
+                 "--out", str(tmp_path / "p.json")]) == 0
+    assert calls == []
+
+
+def test_a_solve_builds_its_table_once_on_first_read(monkeypatch):
+    calls = _count_cdf_tables(monkeypatch)
+    res = solve_equilibrium(quartic(0.25))
+    assert calls == []
+    mu = res.measure
+    assert res.measure is mu and len(calls) == 1
+    m, r, tau = calls[0]
+    assert (m, r) == res.series[:2] and np.array_equal(tau[1:], res.series[2])
+    assert mu.series is res.series and mu.label == "equilibrium(quartic(g=0.25))"
+    # the table the solver built before it kept its series
+    ps, xs = _argsort_cdf_table(m, r, tau)
+    assert np.array_equal(mu.quantile_ps, ps) and np.array_equal(mu.quantile_xs, xs)

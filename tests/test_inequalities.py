@@ -5,7 +5,8 @@ from freelab.equilibrium import free_pressure, solve_equilibrium
 from freelab.errors import HypothesisError, InvalidInputError
 from freelab.inequalities import KINDS, InequalityReport, verify
 from freelab.logpotential import chi_plus, relative_entropy_semicircular
-from freelab.measures import make_arcsine, make_semicircular, moment, translate
+from freelab.measures import (
+    make_arcsine, make_marchenko_pastur_family, make_semicircular, moment, translate)
 from freelab.potentials import (
     Potential,
     abs_potential,
@@ -419,24 +420,28 @@ def test_reports_carry_labels_and_timing():
         r.inputs["mu"] = "other"
 
 
-def test_free_talagrand_computes_sigma_entropy_once(monkeypatch):
+def test_free_talagrand_reports_repeat_and_vanish_at_sigma():
     import dataclasses
 
-    import freelab.inequalities as ineq
-
-    sigma_calls = []
-    original = ineq.relative_entropy_semicircular
-
-    def counted(mu, *args, **kwargs):
-        if mu is ineq._SIGMA:
-            sigma_calls.append(mu)
-        return original(mu, *args, **kwargs)
-
-    monkeypatch.setattr(ineq, "relative_entropy_semicircular", counted)
-    ineq._sigma_entropy.cache_clear()
+    # sigma's relative entropy is its carried series' closed form: two calls
+    # give equal reports, and at sigma itself both sides vanish
     mu = make_semicircular(variance=1.5)
     first = verify("FREE_TALAGRAND", {"mu": mu})
     second = verify("FREE_TALAGRAND", {"mu": mu})
-    assert len(sigma_calls) == 1
     assert dataclasses.replace(first, runtime_ms=0) == dataclasses.replace(second, runtime_ms=0)
-    assert first.rhs == 2.0 * float(original(ineq._SIGMA)) + 2.0 * float(original(mu))
+    at_sigma = verify("FREE_TALAGRAND", {"mu": make_semicircular()})
+    assert at_sigma.lhs == 0.0
+    assert abs(at_sigma.rhs) <= 1e-15
+
+def test_closed_form_rows_are_exact_from_the_series():
+    # FREE_TALAGRAND at mp(1): W2^2 to sigma against 2 H(mp(1)) = 3/2
+    rep = verify("FREE_TALAGRAND", {"mu": make_marchenko_pastur_family(1.0)})
+    assert abs(rep.rhs - 1.5) <= 1e-12
+    # the sharp equality cases, sigma_a against sigma_(1/a)
+    for a in (0.25, 1.0, 2.25, 4.0, 9.0):
+        rep = verify("SSFTI", {"mu": make_semicircular(variance=a),
+                               "nu": make_semicircular(variance=1.0 / a)})
+        assert abs(rep.deficit) <= 1e-11, a
+    # the Legendre conjugate of x^2/2 is itself, and both entropies vanish
+    rep = verify("INVERSE_SSFTI", {"f": quadratic(1.0)})
+    assert abs(rep.lhs) <= 1e-13

@@ -284,13 +284,19 @@ def test_log_jacobian_of_quadratic_is_exactly_log_c():
 
 
 def test_log_jacobian_declines_the_root_route_on_noisy_moments():
-    # sigma's cosine-graded table carries noisy moments at every k: the root
-    # route would sum thousands of them, so the pushforward route answers
+    # sigma's cosine-graded table, without the series sigma carries, has
+    # noisy moments at every k: the root route would sum thousands of them,
+    # so the pushforward route answers
     import freelab.logpotential as lp_mod
+    from freelab._angle_series import series_of
+    from freelab.measures import from_quantile_table
 
-    sig, u = make_semicircular(), polynomial_even(0.5, 0.05)
-    assert lp_mod._root_jacobian(sig, u.deriv_coeffs) is None
-    assert abs(log_jacobian(sig, u).value - SEMICIRCLE_POLY_JACOBIAN) <= 1e-7
+    sig = make_semicircular()
+    table, u = from_quantile_table(sig.quantile_ps, sig.quantile_xs), polynomial_even(0.5, 0.05)
+    assert lp_mod._root_jacobian(series_of(table), u.deriv_coeffs) is None
+    assert abs(log_jacobian(table, u).value - SEMICIRCLE_POLY_JACOBIAN) <= 1e-7
+    # sigma's own series is two terms long, and the root route takes it
+    assert abs(log_jacobian(sig, u).value - SEMICIRCLE_POLY_JACOBIAN) <= 1e-12
 
 
 def test_inverse_free_lsi_reaches_the_quadrature_only_without_slope_coefficients(monkeypatch):
@@ -535,3 +541,24 @@ def test_chebyshev_moments_read_the_shared_angle_table_bitwise():
     for table in _angle_table():
         with pytest.raises(ValueError):
             table[0] = 0.0
+
+
+def test_log_energy_of_carried_series_is_the_closed_form():
+    # E(sigma_v) = log(v)/2 - 1/4, E(mp(s)) = log(s) - 1/2, E(arcsine(r)) = log(r/2)
+    for v in (0.25, 0.5, 1.0, 2.0, 9.0):
+        e = log_energy(make_semicircular(mean=0.3, variance=v))
+        assert abs(e.value - (0.5 * np.log(v) - 0.25)) <= 1e-15
+        assert e.error_est <= 1e-14
+    for s in (0.5, 1.0, 2.0):
+        assert abs(log_energy(make_marchenko_pastur_family(s)).value - (np.log(s) - 0.5)) <= 1e-15
+    for r in (0.5, 1.0, 2.0):
+        assert abs(log_energy(make_arcsine(r, center=-0.4)).value - np.log(r / 2.0)) <= 1e-15
+
+
+def test_log_energy_of_a_solve_is_its_energy_bit_for_bit():
+    from freelab.equilibrium import solve_equilibrium
+
+    for u in (quadratic(1.0), quartic(0.25), polynomial_even(0.5, 0.125),
+              abs_potential(), linear_halfline(1.5), arcsine_indicator(2.5)):
+        res = solve_equilibrium(u)
+        assert log_energy(res.measure).value == res.energy, u.label

@@ -165,3 +165,25 @@ def test_closed_form_tables_are_the_direct_angle_formula():
     for table in (_semicircle_cos(False), _semicircle_cos(True)):
         with pytest.raises(ValueError):
             table[0] = 0.0
+
+
+def test_semicircle_moments_from_the_series_are_exact():
+    # m2(sigma_v) = v and m4(sigma_v) = 2 v^2, summed from the carried series
+    for v in (0.25, 0.5, 1.0, 2.0, 9.0):
+        sig = make_semicircular(variance=v)
+        assert abs(moment(sig, 2) - v) <= 1e-14 * v
+        assert abs(moment(sig, 4) - 2.0 * v * v) <= 1e-14 * 2.0 * v * v
+    assert moment(make_semicircular(mean=0.7, variance=2.0), 1) == 0.7
+
+
+def test_translate_keeps_the_series_and_pushforward_drops_it():
+    sig = make_semicircular(mean=0.5, variance=2.0)
+    m, r, tau = sig.series
+    assert (m, r, tau.tolist()) == (0.5, 2.0 * np.sqrt(2.0), [0.0, -0.5])
+    assert not tau.flags.writeable
+    moved = translate(sig, 1.25)
+    assert moved.series[0] == 1.75 and moved.series[1:] == sig.series[1:]
+    assert make_arcsine(2.0, 0.5).series[:2] == (0.5, 2.0)
+    assert make_marchenko_pastur_family(1.5).series[:2] == (3.0, 3.0)
+    assert pushforward_monotone(sig, lambda x: 2.0 * x).series is None
+    assert from_quantile_table(sig.quantile_ps, sig.quantile_xs).series is None

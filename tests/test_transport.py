@@ -198,3 +198,11 @@ def test_default_and_explicit_grid_share_one_build():
     assert gauss_legendre_01(TRANSPORT_POINTS) is grid
     assert gauss_legendre_01(n=TRANSPORT_POINTS) is grid
     assert gauss_legendre_01.cache_info().misses - before <= 1
+
+
+def test_w2_between_semicircles_from_their_series():
+    # W2^2(sigma_a, sigma_b) = (sqrt(a) - sqrt(b))^2: the quantiles come from
+    # the carried series, where the tables were good to about 1e-7
+    for a, b in ((0.25, 4.0), (9.0 / 4.0, 4.0 / 9.0), (9.0, 1.0 / 9.0)):
+        got = w2(make_semicircular(variance=a), make_semicircular(variance=b)).cost_squared
+        assert abs(got - (np.sqrt(a) - np.sqrt(b)) ** 2) <= 1e-11, (a, b)
