@@ -25,10 +25,19 @@ costs 40 to 60 times more.
 The fixed angle tables of a solve (cos and sin of the Chebyshev angles, the
 CDF table's splice grid and the trig tables of its sine sum) are built once
 and shared read-only.
+
+Convex polynomial potentials (``deriv_coeffs``, u' of degree d) solve on
+K Chebyshev angles, K the least power of two >= max(8, d + 3), where the
+DCT-II is exact: tau_1 .. tau_{d+1} are exact, the rest vanish and are
+dropped, int u d(nu) is Gauss-Chebyshev on the same angles, and Newton
+starts from the coefficients (`_poly_seed`).  Other potentials keep the
+``nodes``-angle solve and scanned seed bit for bit: a Legendre conjugate's
+Newton path is chaotic at rounding level, so any change moves its support.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 
@@ -66,12 +75,19 @@ _NEGATIVITY_SLACK = 5e-3
 
 @dataclass(frozen=True)
 class SolverSettings:
-    nodes: int = DEFAULT_NODES      # Chebyshev angles per solve
+    nodes: int = DEFAULT_NODES      # angles per solve; polynomial u' solves exactly at any count
     tol: float = 1e-11              # endpoint-condition residual target
     max_iter: int = 60
     allow_nonconvex: bool = False   # accept possible non-uniqueness
     map_iterations: int = 48        # moment-map fixed-point budget
     map_tolerance: float = 1e-5     # moment-map pushforward KS target
+
+    def __post_init__(self):
+        if not self.nodes >= 256:
+            raise InvalidInputError("nodes must be at least 256")
+        if not (0.0 < self.tol < math.inf and 0.0 < self.map_tolerance < math.inf
+                and min(self.max_iter, self.map_iterations) >= 1):
+            raise InvalidInputError("tolerances must be positive and finite, budgets at least 1")
 
 
 @dataclass(frozen=True)
@@ -230,13 +246,27 @@ def _laplace_seed(u: Potential):
     return float(x0), r0
 
 
+def _poly_seed(a: np.ndarray):
+    """(m0, r0) for u' with ascending coefficients a: the real root of u', and
+    the positive root of r c_1 = 4, a polynomial in r^2: u'(m0 + r cos t) =
+    sum b_i r^i cos^i t, and cos^i t has cos t coefficient 2^(1-i) C(i, i//2)."""
+    roots = np.roots(a[::-1])
+    m = float(roots[np.argmin(np.abs(roots.imag))].real)
+    b = [sum(a[j] * math.comb(j, i) * m ** (j - i) for j in range(i, a.size))
+         for i in range(a.size)]
+    q = [-4.0] + [b[i] * 2.0 ** (1 - i) * math.comb(i, i // 2) for i in range(1, a.size, 2)]
+    s = np.roots(q[::-1])
+    s = s[s.real > 0.0]
+    return m, float(np.sqrt(s[np.argmin(np.abs(s.imag))].real))
+
+
 def _fits_inside(u: Potential, m: float, r: float) -> bool:
     margin = 1e-7 * (1.0 + r)
     return (m - r) > u.domain_lo + margin and (m + r) < u.domain_hi - margin
 
 
-def _newton_soft(u: Potential, cos: np.ndarray, cfg: SolverSettings):
-    m, r = _laplace_seed(u)
+def _newton_soft(u: Potential, cos: np.ndarray, cfg: SolverSettings, seed):
+    m, r = seed
 
     def residual(mv, rv):
         if rv <= 0 or mv - rv <= u.domain_lo or mv + rv >= u.domain_hi:
@@ -293,15 +323,19 @@ def _bracket_root(fn, lo: float, hi: float, samples: int = 48):
 
 
 def _assemble(u, m, r, tau, method, iterations, cfg) -> EquilibriumResult:
-    dens = _theta_density(tau)
+    # tau lives on ``nodes`` angles, or on a polynomial solve's fewer, exact ones
+    dens = _theta_density(np.r_[tau, np.zeros(max(cfg.nodes - tau.size, 0))])
     if dens.min() < -_NEGATIVITY_SLACK * dens.max():
         raise MultiCutError(
             "equilibrium density is negative on the one-cut ansatz; "
             "the support is likely disconnected")
+    if tau.size < cfg.nodes:
+        dens = _theta_density(tau)
+        tau = np.trim_zeros(tau, "b")
     series = (float(m), float(r), read_only(tau[1:])[0])
     energy = series_energy(r, series[2])
-    pot_vals = u.value(m + r * _chebyshev_trig(tau.size)[0])
-    pot_moment = float((np.pi / tau.size) * np.sum(pot_vals * dens))
+    pot_vals = u.value(m + r * _chebyshev_trig(dens.size)[0])
+    pot_moment = float((np.pi / dens.size) * np.sum(pot_vals * dens))
     pressure = energy + 0.75 + HALF_LOG_2PI - pot_moment
     el_constant = pot_moment - 2.0 * energy
     return EquilibriumResult(
@@ -328,12 +362,18 @@ def solve_equilibrium(u: Potential, cfg: SolverSettings | None = None) -> Equili
             "non-convex potential: set allow_nonconvex to accept "
             "possible non-uniqueness of the one-cut solution")
     trig = _chebyshev_trig(cfg.nodes)
+    cos, a = trig[0], None
+    if u.deriv_coeffs is not None and u.is_convex:
+        a = np.trim_zeros(np.asarray(u.deriv_coeffs, dtype=float), "b")
+        cos = _chebyshev_trig(max(8, 1 << (a.size + 1).bit_length()))[0]
 
     soft_error = None
     try:
-        m, r, iters = _newton_soft(u, trig[0], cfg)
+        m, r, iters = _newton_soft(u, cos, cfg, _laplace_seed(u) if a is None else _poly_seed(a))
         if _fits_inside(u, m, r):
-            tau, _, _ = _tau_soft(u, m, r, trig[0])
+            tau, _, _ = _tau_soft(u, m, r, cos)
+            if a is not None:
+                tau[a.size + 1:] = 0.0  # zero in exact arithmetic
             return _assemble(u, m, r, tau, "soft", iters, cfg)
     except SolverError as exc:
         soft_error = exc

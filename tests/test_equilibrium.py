@@ -402,7 +402,13 @@ def test_tilted_abs_solves():
 
 def _tau_series(monkeypatch):
     """(name, m, r, tau) of five solves, one per edge configuration, read
-    at the call of _cdf_table that the first read of ``measure`` makes."""
+    at the call of _cdf_table that the first read of ``measure`` makes.
+    The soft case is the quartic without its coefficients, so it keeps the
+    generic solve's 4095 modes: the exact 4-term series puts the table's
+    first rows below the 1.1e-16 quantum of 1 - G, where rounding alone
+    picks the row kept at p = 0."""
+    from dataclasses import replace
+
     import freelab.equilibrium as eq_mod
 
     seen = []
@@ -414,7 +420,7 @@ def _tau_series(monkeypatch):
 
     monkeypatch.setattr(eq_mod, "_cdf_table", recorded)
     out = []
-    for name, u, method in (("soft", quartic(0.25), "soft"),
+    for name, u, method in (("soft", replace(quartic(0.25), deriv_coeffs=None), "soft"),
                             ("kink", abs_potential(), "soft"),
                             ("wall-left", linear_halfline(1.5), "wall-left"),
                             ("wall-both", arcsine_indicator(2.5), "wall-both"),
@@ -570,3 +576,82 @@ def test_a_solve_builds_its_table_once_on_first_read(monkeypatch):
     # the table the solver built before it kept its series
     ps, xs = _argsort_cdf_table(m, r, tau)
     assert np.array_equal(mu.quantile_ps, ps) and np.array_equal(mu.quantile_xs, xs)
+
+
+@pytest.mark.parametrize("setting", [
+    {"nodes": 0}, {"nodes": 1}, {"nodes": 2}, {"nodes": 255},
+    {"tol": 0.0}, {"tol": -1e-11}, {"tol": np.inf}, {"tol": np.nan},
+    {"map_tolerance": 0.0}, {"map_tolerance": -1e-5}, {"map_tolerance": np.inf},
+    {"map_tolerance": np.nan},
+    {"max_iter": 0}, {"max_iter": -3}, {"map_iterations": 0}, {"map_iterations": -1},
+])
+def test_solver_settings_reject_invalid_values(setting):
+    with pytest.raises(InvalidInputError):
+        SolverSettings(**setting)
+
+
+def test_solver_settings_accept_the_smallest_valid_values():
+    cfg = SolverSettings(nodes=256, tol=1e-300, max_iter=1, map_iterations=1,
+                         map_tolerance=1e-300)
+    assert cfg.nodes == 256
+
+
+def _exact_series(u):
+    res = solve_equilibrium(u)
+    assert res.method == "soft"
+    return res, *res.series
+
+
+@pytest.mark.parametrize("c", [1e-4, 0.25, 1.0, 4.0])
+def test_quadratic_solve_carries_the_semicircle_series(c):
+    res, m, r, tau = _exact_series(quadratic(c))
+    assert abs(m) <= 1e-14 and abs(r - 2.0 / np.sqrt(c)) <= 1e-14 * r
+    assert tau.size <= 2 and np.max(np.abs(tau - [0.0, -0.5])) <= 1e-14
+    assert res.iterations == 1
+
+
+@pytest.mark.parametrize("g", [0.1, 0.25, 1.0, 4.0])
+def test_quartic_solve_carries_its_closed_form_series(g):
+    # tau = (0, -1/3, 0, -1/6) at r = (4 / (3 g))^(1/4) for every g (BIPZ 1978)
+    res, m, r, tau = _exact_series(quartic(g))
+    assert abs(m) <= 1e-14 and abs(r - (4.0 / (3.0 * g)) ** 0.25) <= 1e-14
+    assert tau.size <= 4
+    assert np.max(np.abs(tau - [0.0, -1.0 / 3.0, 0.0, -1.0 / 6.0])) <= 1e-14
+    assert abs(res.energy - (np.log(r / 2.0) - 0.125)) <= 1e-14
+    assert res.iterations == 1
+
+
+@pytest.mark.parametrize("c2, c4", [(0.5, 0.125), (0.6, 0.15), (2.0, 0.01)])
+def test_poly_solve_carries_its_closed_form_series(c2, c4):
+    res, m, r, tau = _exact_series(polynomial_even(c2, c4))
+    r2 = (-c2 + np.sqrt(c2 * c2 + 12.0 * c4)) / (3.0 * c4)
+    assert abs(m) <= 1e-14 and abs(r * r - r2) <= 1e-14 * r2
+    expected = [0.0, -(c2 * r2 + c4 * r2 * r2) / 4.0, 0.0, -c4 * r2 * r2 / 8.0]
+    assert tau.size <= 4 and np.max(np.abs(tau - expected)) <= 1e-14
+    assert res.iterations == 1
+
+
+def test_tilted_quadratic_far_from_the_origin_is_exact():
+    # u' = x/100 - 1: the semicircle of radius 20 around 100, beyond the
+    # [-32, 32] scan of the generic seed
+    res = solve_equilibrium(tilt_linear(quadratic(0.01), -1.0))
+    assert abs(res.support_lo - 80.0) <= 1e-12 and abs(res.support_hi - 120.0) <= 1e-12
+
+
+def _polynomial_variants():
+    for base in (quadratic(1.0), quartic(0.25), polynomial_even(0.5, 0.125)):
+        yield base
+        for lam in (-0.7, 0.3, 1.5):
+            yield tilt_linear(base, lam)
+        yield shift_potential(base, 0.5)
+
+
+@pytest.mark.parametrize("u", list(_polynomial_variants()), ids=lambda u: u.label)
+def test_polynomial_route_matches_the_generic_route(u):
+    from dataclasses import replace
+
+    exact = solve_equilibrium(u)
+    generic = solve_equilibrium(replace(u, deriv_coeffs=None))
+    assert exact.series[2].size <= len(u.deriv_coeffs) < generic.series[2].size
+    for name in ("support_lo", "support_hi", "energy", "pressure", "potential_moment"):
+        assert abs(getattr(exact, name) - getattr(generic, name)) <= 1e-11, name

@@ -206,3 +206,14 @@ def test_w2_between_semicircles_from_their_series():
     for a, b in ((0.25, 4.0), (9.0 / 4.0, 4.0 / 9.0), (9.0, 1.0 / 9.0)):
         got = w2(make_semicircular(variance=a), make_semicircular(variance=b)).cost_squared
         assert abs(got - (np.sqrt(a) - np.sqrt(b)) ** 2) <= 1e-11, (a, b)
+
+
+def test_w2_between_polynomial_solves_from_their_series():
+    # quadratic(1/4) and quadratic(4) solve to the semicircles of variance 4
+    # and 1/4; their exact series of two terms take the polished quantiles
+    from freelab.equilibrium import solve_equilibrium
+    from freelab.potentials import quadratic
+
+    wide = solve_equilibrium(quadratic(0.25)).measure
+    narrow = solve_equilibrium(quadratic(4.0)).measure
+    assert abs(w2(wide, narrow).cost_squared - 2.25) <= 1e-12
