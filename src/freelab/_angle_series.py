@@ -12,6 +12,13 @@ them as its ``series`` (m, r, tau), tau_k = c_k; its log energy is then
 log(r/2) - 2 sum tau_k^2 / k, its moments are finite sums, and its quantile
 solves G(theta) = theta/pi + (2/pi) sum (tau_k / k) sin k theta = 1 - p.
 The angle tables are built once and shared read-only.
+
+A table without a series is read in the angle: G at the read points is the
+4-point Lagrange interpolant of the rows' (theta, G), clipped into the two
+bracketing rows, so G stays monotone and atoms and flat stretches exact.
+Rows and read points take their angle from one edge-accurate formula
+(`angle`), so reads on the solver's uniform-angle tables hit its rows.  On
+the closed-form laws' tables the moments are then exact to rounding.
 """
 
 from __future__ import annotations
@@ -35,14 +42,58 @@ def _angle_table():
     return read_only(theta / np.pi, np.cos(theta), np.arange(1, n) * (np.pi / (2 * n)))
 
 
+def angle(x, lo: float, hi: float) -> np.ndarray:
+    """theta of x = m + r cos(theta) on [lo, hi] = [m - r, m + r], from the
+    nearer edge: 2 arcsin sqrt((hi - x) / 2r), or pi minus its mirror, keeps
+    relative precision at both edges, where arccos((x - m) / r) does not."""
+    right = x >= 0.5 * (lo + hi)
+    half = np.where(right, hi - x, x - lo) / (hi - lo)
+    np.arcsin(np.sqrt(np.clip(half, 0.0, 1.0, out=half), out=half), out=half)
+    return np.where(right, 2.0 * half, np.pi - 2.0 * half)
+
+
+@lru_cache(maxsize=8)
+def _read_angles(lo: float, hi: float) -> np.ndarray:
+    """`angle` of the read points m + r cos(pi k / ANGLES) of [lo, hi]."""
+    return read_only(angle(0.5 * (lo + hi) + 0.5 * (hi - lo) * _angle_table()[1], lo, hi))[0]
+
+
+def _read_g(ps: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """G = 1 - p of the table (ps, xs) at its read points by the clipped
+    Lagrange rule of the module docstring, in Newton form about each point's
+    bracket [t_i, t_i+1]: linear, plus u (u - h_i) (a_i + b_i u), u = theta - t_i.
+    Rows continue past 0 and pi by G(-t) = -G(t) and G(2 pi - t) = 2 - G(t)."""
+    inner = (xs[1:-1] == xs[:-2]) & (xs[1:-1] == xs[2:])
+    if inner.any():  # only the first and last row of an atom bound G
+        keep = np.r_[True, ~inner, True]
+        ps, xs = ps[keep], xs[keep]
+    t = angle(xs[::-1], xs[0], xs[-1])  # ascending in theta, as G is
+    g = 1.0 - ps[::-1]
+    tx = _read_angles(float(xs[0]), float(xs[-1]))
+    i = np.minimum(np.interp(tx, t, np.arange(t.size, dtype=float)).astype(np.intp), t.size - 2)
+    out = np.interp(tx, t, g)
+    # divided differences of the rows; a stencil spanning rows of equal theta
+    # (an atom) makes them inf or nan, and the linear term answers alone there
+    tp = np.r_[-t[1], t, 2.0 * np.pi - t[-2]]
+    h = np.diff(tp)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = np.diff(np.diff(np.r_[-g[1], g, 2.0 - g[-2]]) / h) / (tp[2:] - tp[:-2])
+        b = np.diff(a) / (tp[3:] - tp[:-3])
+        a = a[:-1] + h[:-2] * b
+    bad = ~np.isfinite(b)
+    a[bad] = b[bad] = 0.0
+    u = tx - t[i]
+    out += u * (u - h[i + 1]) * (a[i] + u * b[i])
+    return np.clip(out, g[i], g[i + 1], out=out)
+
+
 def chebyshev_moments(ps: np.ndarray, xs: np.ndarray):
     """Center m, half-width r and moments c_1 .. c_{ANGLES - 1} of the
     quantile table (ps, xs), from one DST-I of G - theta/pi read off the
-    table at ANGLES uniform angles."""
+    table at ANGLES uniform angles (module docstring)."""
+    frac, _, weight = _angle_table()
     m, r = 0.5 * (xs[0] + xs[-1]), 0.5 * (xs[-1] - xs[0])
-    frac, cos, weight = _angle_table()
-    g = 1.0 - np.interp(m + r * cos, xs, ps) - frac
-    return m, r, weight * dst(g, type=1)
+    return m, r, weight * dst(_read_g(ps, xs) - frac, type=1)
 
 
 def series_of(mu):

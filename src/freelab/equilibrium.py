@@ -15,12 +15,9 @@ the one remaining soft-edge condition (if any) is solved by bracketing.
 An :class:`EquilibriumResult` keeps (m, r, tau) as its ``series``, which
 the scalar reads take; its quantile table (``measure``) and the
 Euler-Lagrange and Schwinger-Dyson residuals, diagnostics of that table,
-are computed on first read and cached.  The EL residual checks 2 pi H mu =
-u' at the probes of `logpotential.euler_lagrange_residual`, with H mu
-summed from the Chebyshev moments of the result's own quantile table (not
-from tau, so it checks the table that reports use); that series is exact
-on the solver's uniform-angle tables, where the public spline transform
-costs 40 to 60 times more.
+are computed on first read and cached.  The EL residual is
+`logpotential.euler_lagrange_residual` of that table: 2 pi H mu = u' at the
+table's probes, with H mu summed from the series the table carries.
 
 The fixed angle tables of a solve (cos and sin of the Chebyshev angles, the
 CDF table's splice grid and the trig tables of its sine sum) are built once
@@ -50,8 +47,8 @@ from ._grids import DEFAULT_NODES, chebyshev_angles, read_only
 from .errors import InvalidInputError, MultiCutError, SolverError
 from .logpotential import (
     HALF_LOG_2PI,
-    _series_euler_lagrange_residual,
     chi,
+    euler_lagrange_residual,
     integrate_potential,
     schwinger_dyson_residual,
 )
@@ -120,7 +117,7 @@ class EquilibriumResult:
 
     @cached_property
     def el_residual(self) -> float:
-        return float(_series_euler_lagrange_residual(self.measure, self.potential))
+        return float(euler_lagrange_residual(self.measure, self.potential))
 
     @cached_property
     def sd_residual(self) -> float:

@@ -56,20 +56,11 @@ below 1e-10, from the carried series where there is one.  Tables that need
 more moments than the rule resolves, and other potentials, take the
 log-energy gain of pushing mu forward through u'.
 
-The Hilbert transform H mu(t) = (1/pi) PV int dmu(y) / (t - y) also has two
-routes, and here the caller chooses.  Public `hilbert_transform` runs a
-singularity subtraction in quantile coordinates on a cubic spline of the
-quantile table, about a million spline evaluations for the 65 probes of
-`euler_lagrange_residual`; it is accurate to about 1e-7 on any table.
-Differentiating the log potential's Chebyshev series instead gives
-H mu(t) = -(2/(pi r)) sum_k c_k sin(k phi) / sin(phi) at t = m + r cos(phi),
-with the same moments c_k as the energy series, summed by a blocked sine
-sum.  That series is exact only on tables whose rows lie on the uniform
-angle grid, as the equilibrium solver's do: on the cosine-graded 8193-row
-closed-form tables it errs by up to 8e-5.  So the public functions keep the
-spline, and only the solver's own residual (`EquilibriumResult.el_residual`,
-through `_series_euler_lagrange_residual`) takes the series, with the same
-probes and subgradient band, 40 to 60 times faster.
+The Hilbert transform H mu(t) = (1/pi) PV int dmu(y) / (t - y) is the series
+(m, r, c) of `series_of` differentiated: -(2/(pi r)) sum_k c_k sin(k phi) /
+sin(phi) at t = m + r cos(phi) in the support, and outside (1 + 2 sum_k c_k
+phi^-k) / (pi s), s = sign(d) sqrt(d^2 - r^2), d = t - m, 1/phi = r / (d + s).
+`euler_lagrange_residual` uses it; on a solve it reads the solver's tau.
 
 Tolerance policy used throughout the test-suite:
 
@@ -85,9 +76,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._angle_series import ANGLES, chebyshev_moments, series_energy, series_of, sine_sum
-from ._grids import (
-    ENERGY_CELLS, GL2_T, GL2_W, GL4_T, GL4_W, chebyshev_angles, cosine_graded, gauss_legendre_01)
+from ._angle_series import ANGLES, angle, chebyshev_moments, series_energy, series_of, sine_tables
+from ._grids import ENERGY_CELLS, GL2_T, GL2_W, chebyshev_angles, cosine_graded, gauss_legendre_01
 from .errors import InvalidInputError, SingularEvaluationError
 from .measures import GridMeasure, moment, pushforward_monotone
 from .potentials import Potential
@@ -132,11 +122,6 @@ _CHEB_LAGRANGE[0] *= 0.5
 _LEAF_KEEP = np.array([np.abs(np.arange(_LEAF)[:, None] // 2
                               - (np.arange(_LEAF) + d * _LEAF) // 2) > 1
                        for d in range(2)], dtype=float)
-# interior points per batch of the Hilbert transform; bounds its temporaries
-_HILBERT_BATCH = 8
-# scipy.interpolate.CubicSpline, bound by hilbert_transform at its first
-# interior point: nothing else needs scipy.interpolate
-CubicSpline = None
 # largest upper-half tail of sum 2 c_k^2 / k at which the series is accepted
 _SERIES_TAIL = 1e-10
 # Gauss-Legendre nodes per angle piece of log_jacobian's root route, and the
@@ -332,80 +317,34 @@ def relative_entropy_semicircular(mu: GridMeasure, cells: int = ENERGY_CELLS) ->
     return EnergyValue(0.5 * moment(mu, 2) - c.value + HALF_LOG_2PI, c.error_est)
 
 
-def _hilbert_side(spline, ts, sstar, qs, lo, hi, cells):
-    """Regularized integral of 1/(t - Q(s)) + 1/(qs (s - sstar)) on [lo, hi],
-    one row per probe t.
-
-    Q comes from a smooth spline of the quantile table: the two terms cancel
-    near sstar and a merely piecewise-linear Q would leak interpolation
-    error through the 1/(t - Q)^2 amplification.  The grading clusters
-    nodes at sstar and at the outer support edge.  The spline is called
-    once for all rows, and each row is reduced by its own dot product.
-    """
-    bounds = lo[:, None] + (hi - lo)[:, None] * cosine_graded(cells)
-    h = np.diff(bounds, axis=1)
-    sub = (bounds[:, :-1, None] + h[:, :, None] * GL4_T).reshape(ts.size, -1)
-    wts = (h[:, :, None] * GL4_W).reshape(ts.size, -1)
-    ds = sub - sstar[:, None]
-    qv = spline(sub.ravel()).reshape(sub.shape)
-    dq = ts[:, None] - qv
-    safe_dq = np.where(np.abs(dq) > _TINY, dq, _TINY)
-    safe_ds = np.where(np.abs(ds) > _TINY, ds, _TINY)
-    g = 1.0 / safe_dq + 1.0 / (qs[:, None] * safe_ds)
-    g = np.where(np.abs(ds) < 1e-11, 0.0, g)  # vanishing-measure core
-    return np.array([0.0 if hi[i] - lo[i] < 1e-14 else float(wts[i] @ g[i])
-                     for i in range(ts.size)])
-
-
-def _hilbert_inside(mu: GridMeasure, ts: np.ndarray, cells: int, spline, dspline) -> np.ndarray:
-    sstar = np.interp(ts, mu.quantile_xs, mu.quantile_ps)
-    for _ in range(3):
-        sstar = sstar - (spline(sstar) - ts) / np.maximum(dspline(sstar), _TINY)
-        sstar = np.minimum(np.maximum(sstar, 0.0), 1.0)
-    qs = dspline(sstar)
-    half = max(cells // 2, 64)
-    left = _hilbert_side(spline, ts, sstar, qs, np.zeros_like(sstar), sstar, half)
-    right = _hilbert_side(spline, ts, sstar, qs, sstar, np.ones_like(sstar), half)
-    pv_tail = -np.log((1.0 - sstar) / sstar) / qs
-    return (left + right + pv_tail) / np.pi
-
-
 def hilbert_transform(mu: GridMeasure, t, cells: int = 4096):
-    """Hilbert transform (1/pi) PV int dmu(y) / (t - y).
+    """Hilbert transform (1/pi) PV int dmu(y) / (t - y), by the module's series.
 
-    Accepts scalars or arrays.  Points inside the support are handled by a
-    singularity subtraction in quantile coordinates, _HILBERT_BATCH points
-    at a time; evaluation too close to a support endpoint raises
-    :class:`SingularEvaluationError` before anything is computed.
+    Accepts scalars or arrays.  Evaluation too close to a support endpoint
+    raises :class:`SingularEvaluationError` before anything is computed.
+    ``cells`` is unused; it is kept so that existing calls still work.
     """
-    global CubicSpline
-    ts = np.atleast_1d(np.asarray(t, dtype=float))
-    flat = ts.ravel()
-    scale = 1.0 + mu.radius
-    edge_tol = 1e-8 * scale
+    flat = np.asarray(t, dtype=float).ravel()
+    edge_tol = 1e-8 * (1.0 + mu.radius)
     at_edge = (np.abs(flat - mu.support_lo) < edge_tol) | (np.abs(flat - mu.support_hi) < edge_tol)
     if np.any(at_edge):
         raise SingularEvaluationError(
             f"hilbert transform at a support endpoint: t={flat[np.argmax(at_edge)]:g}")
+    m, r, c = series_of(mu)
+    ks = np.arange(1, c.size + 1)
     out = np.empty(flat.shape)
     inside = (mu.support_lo < flat) & (flat < mu.support_hi)
-    rows = np.flatnonzero(inside)
-    if rows.size:
-        if CubicSpline is None:
-            import scipy.interpolate
-            CubicSpline = scipy.interpolate.CubicSpline
-        spline = CubicSpline(mu.quantile_ps, mu.quantile_xs)
-        dspline = spline.derivative()
-        for s in range(0, rows.size, _HILBERT_BATCH):
-            block = rows[s:s + _HILBERT_BATCH]
-            out[block] = _hilbert_inside(mu, flat[block], cells, spline, dspline)
-    rows = np.flatnonzero(~inside)
-    if rows.size:
-        glt, glw = gauss_legendre_01()
-        q_outside = mu.quantile(glt)
-        for i in rows:
-            out[i] = float(glw @ (1.0 / (flat[i] - q_outside))) / np.pi
-    return out.reshape(ts.shape) if np.ndim(t) else float(out[0])
+    # `sine_sum` one point at a time, so that a value does not depend on its batch
+    phi = angle(flat[inside], m - r, m + r)
+    sin_q, cos_q, cos_s, sin_s = sine_tables(phi, c.size)
+    blocks = np.zeros((sin_q.shape[1], cos_s.shape[1]))
+    blocks.flat[1:c.size + 1] = c
+    sums = [sq @ (blocks @ cs) + cq @ (blocks @ ss) for sq, cq, cs, ss in zip(sin_q, cos_q, cos_s, sin_s)]
+    out[inside] = (-2.0 / (np.pi * r)) * np.array(sums) / np.sin(phi)
+    d = flat[~inside] - m
+    root = np.sign(d) * np.sqrt((np.abs(d) - r) * (np.abs(d) + r))
+    out[~inside] = (1.0 + 2.0 * np.array([z ** ks @ c for z in r / (d + root)])) / (np.pi * root)
+    return out.reshape(np.shape(t)) if np.ndim(t) else float(out[0])
 
 
 def _root_jacobian(series, coeffs) -> EnergyValue | None:
@@ -482,31 +421,6 @@ def log_jacobian(mu, u: Potential, cells: int = ENERGY_CELLS) -> EnergyValue:
     return EnergyValue(ea.value - eb.value, ea.error_est + eb.error_est)
 
 
-def _series_hilbert(mu: GridMeasure, ts: np.ndarray) -> np.ndarray:
-    """H mu at interior points t = m + r cos(phi) of the support, from the
-    quantile table's Chebyshev moments: -(2/(pi r)) sum_k c_k sin(k phi) /
-    sin(phi).  Exact only on tables whose rows lie on the uniform angle
-    grid, as the solver's do; see the module docstring."""
-    m, r, c = chebyshev_moments(mu.quantile_ps, mu.quantile_xs)
-    phi = np.arccos((ts - m) / r)
-    return (-2.0 / (np.pi * r)) * sine_sum(c, phi) / np.sin(phi)
-
-
-def _el_residual(mu: GridMeasure, u: Potential, hilbert,
-                 n_probes: int = 65, coverage: float = 0.96) -> float:
-    """The probe-and-band rule of `euler_lagrange_residual`, with H mu at
-    the probes taken from ``hilbert(mu, ts)``."""
-    lo = 0.5 * (1.0 - coverage)
-    ps = np.linspace(lo, 1.0 - lo, n_probes)
-    ts = mu.quantile(ps)
-    h = 1e-9 * (1.0 + np.abs(ts))
-    side = np.stack([u.d(ts - h), u.d(ts), u.d(ts + h)])
-    band_lo, band_hi = side.min(axis=0), side.max(axis=0)
-    target = 2.0 * np.pi * hilbert(mu, ts)
-    res = np.maximum(target - band_hi, band_lo - target)
-    return float(np.max(np.maximum(res, 0.0)))
-
-
 def euler_lagrange_residual(mu: GridMeasure, u: Potential,
                             n_probes: int = 65, coverage: float = 0.96) -> float:
     """Sup over interior probes of the distance from 2 pi H mu(t) to the
@@ -518,14 +432,12 @@ def euler_lagrange_residual(mu: GridMeasure, u: Potential,
     landing exactly on a kink of u is judged by the inclusion, not by the
     arbitrary derivative value there.  H mu is `hilbert_transform`'s.
     """
-    return _el_residual(mu, u, hilbert_transform, n_probes, coverage)
-
-
-def _series_euler_lagrange_residual(mu: GridMeasure, u: Potential) -> float:
-    """`euler_lagrange_residual` with H mu from the quantile table's
-    Chebyshev moments: the solver's residual, for tables on the uniform
-    angle grid only (see the module docstring)."""
-    return _el_residual(mu, u, _series_hilbert)
+    lo = 0.5 * (1.0 - coverage)
+    ts = mu.quantile(np.linspace(lo, 1.0 - lo, n_probes))
+    h = 1e-9 * (1.0 + np.abs(ts))
+    side = np.stack([u.d(ts - h), u.d(ts), u.d(ts + h)])
+    target = 2.0 * np.pi * hilbert_transform(mu, ts)
+    return float(max(np.max(target - side.max(axis=0)), np.max(side.min(axis=0) - target), 0.0))
 
 
 def schwinger_dyson_residual(mu: GridMeasure, u: Potential, max_degree: int = 6) -> float:

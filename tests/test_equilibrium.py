@@ -351,7 +351,7 @@ def _count_residual_calls(monkeypatch):
     import freelab.equilibrium as eq_mod
 
     calls = {"el": 0, "sd": 0}
-    el, sd = eq_mod._series_euler_lagrange_residual, eq_mod.schwinger_dyson_residual
+    el, sd = eq_mod.euler_lagrange_residual, eq_mod.schwinger_dyson_residual
 
     def counted_el(*args, **kwargs):
         calls["el"] += 1
@@ -361,7 +361,7 @@ def _count_residual_calls(monkeypatch):
         calls["sd"] += 1
         return sd(*args, **kwargs)
 
-    monkeypatch.setattr(eq_mod, "_series_euler_lagrange_residual", counted_el)
+    monkeypatch.setattr(eq_mod, "euler_lagrange_residual", counted_el)
     monkeypatch.setattr(eq_mod, "schwinger_dyson_residual", counted_sd)
     return calls
 
@@ -378,17 +378,29 @@ def test_solves_that_never_read_residuals_never_compute_them(monkeypatch):
 
 
 def test_residuals_are_computed_on_first_read_and_cached(monkeypatch):
-    from freelab.logpotential import _series_euler_lagrange_residual, schwinger_dyson_residual
+    from freelab.logpotential import euler_lagrange_residual, schwinger_dyson_residual
 
     u = quartic(0.25)
     calls = _count_residual_calls(monkeypatch)
     res = solve_equilibrium(u)
-    assert res.el_residual == _series_euler_lagrange_residual(res.measure, u)
+    assert res.el_residual == euler_lagrange_residual(res.measure, u)
     assert res.sd_residual == schwinger_dyson_residual(res.measure, u)
     assert calls == {"el": 1, "sd": 1}
-    assert res.el_residual == _series_euler_lagrange_residual(res.measure, u)
+    assert res.el_residual == euler_lagrange_residual(res.measure, u)
     assert res.sd_residual == schwinger_dyson_residual(res.measure, u)
     assert calls == {"el": 1, "sd": 1}
+
+
+def test_el_residual_is_the_public_residual_on_the_carried_series():
+    # one residual path: the cached property is the public function, which
+    # reads the solve's tau, and a generic solve's residual is tiny
+    from freelab.logpotential import euler_lagrange_residual
+
+    for u in (quadratic(1.0), abs_potential(), linear_halfline(1.0)):
+        res = solve_equilibrium(u)
+        assert res.measure.series is res.series
+        assert res.el_residual == euler_lagrange_residual(res.measure, u), u.label
+    assert solve_equilibrium(linear_halfline(1.0)).el_residual <= 1e-12
 
 
 @pytest.mark.xfail(raises=SolverError, strict=True)

@@ -143,12 +143,14 @@ def test_hilbert_transform_rejects_endpoints():
         hilbert_transform(sig, 2.0)
 
 
-def _hilbert_one_point(mu, t, cells=4096):
-    """The Hilbert transform rule, one point at a time."""
+def _hilbert_one_point(mu, t, cells=4096, spline=None):
+    """H mu(t) by a singularity subtraction in quantile coordinates on a
+    cubic spline of the quantile table, and by Gauss-Legendre outside the
+    support: accurate to about 1e-7 on any table."""
     if not mu.support_lo < t < mu.support_hi:
         glt, glw = gauss_legendre_01()
         return float(glw @ (1.0 / (t - mu.quantile(glt)))) / np.pi
-    spline = CubicSpline(mu.quantile_ps, mu.quantile_xs)
+    spline = spline or CubicSpline(mu.quantile_ps, mu.quantile_xs)
     dspline = spline.derivative()
     sstar = float(np.interp(t, mu.quantile_xs, mu.quantile_ps))
     for _ in range(3):
@@ -183,30 +185,53 @@ def test_batched_hilbert_transform_matches_one_point_rule_bitwise():
         solve_equilibrium(u).measure
         for u in (quartic(0.25), abs_potential(), linear_halfline(1.5))]
     for mu in measures:
-        # 19 interior points, so two full batches and a partial one,
-        # with points outside the support interleaved
+        # 19 interior points with points outside the support interleaved
         inner = mu.quantile(np.linspace(0.03, 0.97, 19))
         ts = np.insert(inner, [0, 7, 19], [mu.support_lo - 0.5, mu.support_hi + 1.0,
                                            mu.support_hi + 3.0])
         got = hilbert_transform(mu, ts)
-        want = np.array([_hilbert_one_point(mu, t) for t in ts])
+        want = np.array([hilbert_transform(mu, t) for t in ts])
         assert np.array_equal(got, want), mu.label
         grid = hilbert_transform(mu, ts[:20].reshape(4, 5))
         assert grid.shape == (4, 5) and np.array_equal(grid.ravel(), want[:20])
         scalar = hilbert_transform(mu, float(inner[4]))
-        assert isinstance(scalar, float) and scalar == _hilbert_one_point(mu, inner[4])
+        assert isinstance(scalar, float) and scalar == want[5]
+        # the spline rule, an independent quadrature, agrees to its accuracy
+        spline = CubicSpline(mu.quantile_ps, mu.quantile_xs)
+        ref = np.array([_hilbert_one_point(mu, t, spline=spline) for t in ts])
+        assert np.max(np.abs(got - ref)) <= 1e-7, mu.label
 
 
 def test_hilbert_transform_checks_endpoints_before_any_work(monkeypatch):
     import freelab.logpotential as lp
 
-    def no_spline(*args, **kwargs):
-        raise AssertionError("interior work started before the endpoint check")
+    def no_series(*args, **kwargs):
+        raise AssertionError("work started before the endpoint check")
 
-    monkeypatch.setattr(lp, "CubicSpline", no_spline)
+    monkeypatch.setattr(lp, "series_of", no_series)
     sig = make_semicircular()
     with pytest.raises(SingularEvaluationError, match="t=-2"):
         hilbert_transform(sig, np.array([0.1, 0.5, -2.0, 2.0]))
+
+
+def test_hilbert_transform_near_the_edges_matches_closed_forms():
+    # H sigma(t) = 2 / (pi (t + sign(t) sqrt(t^2 - 4))) outside [-2, 2] and
+    # t / (2 pi) inside; H arcsine(1)(t) = sign(t) / (pi sqrt(t^2 - 1))
+    # outside [-1, 1] and 0 inside; both written without cancellation
+    def outside(t, edge):
+        a = np.abs(t)
+        return np.sign(t) * np.sqrt((a - edge) * (a + edge))
+
+    for eps in (1e-7, 1e-5, 1e-3, 0.1, 1.0):
+        for sign in (1.0, -1.0):
+            t_out, t_in = sign * (2.0 + eps), sign * (2.0 - eps)
+            got = hilbert_transform(make_semicircular(), np.array([t_out, t_in]))
+            want = np.array([2.0 / (np.pi * (t_out + outside(t_out, 2.0))), t_in / (2.0 * np.pi)])
+            assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want)), (eps, sign)
+            t_out, t_in = sign * (1.0 + eps), sign * (1.0 - eps)
+            got = hilbert_transform(make_arcsine(1.0), np.array([t_out, t_in]))
+            want = 1.0 / (np.pi * outside(t_out, 1.0))
+            assert abs(got[0] - want) <= 1e-12 * abs(want) and abs(got[1]) <= 1e-12, (eps, sign)
 
 
 def test_euler_lagrange_residual_on_equilibria():
@@ -284,19 +309,73 @@ def test_log_jacobian_of_quadratic_is_exactly_log_c():
 
 
 def test_log_jacobian_declines_the_root_route_on_noisy_moments():
-    # sigma's cosine-graded table, without the series sigma carries, has
-    # noisy moments at every k: the root route would sum thousands of them,
-    # so the pushforward route answers
+    # half the mass uniform on [-1, 0] and half on [0, 2]: the density jumps
+    # at 0, so the moments fall off only like 1/k, the root route would sum
+    # thousands of them, and the pushforward route answers.  The oracle is
+    # the defining double integral of log(1 + (x^2 + x y + y^2) / 5) for
+    # u' = x + x^3 / 5, by Gauss-Legendre on the four smooth pieces
     import freelab.logpotential as lp_mod
     from freelab._angle_series import series_of
     from freelab.measures import from_quantile_table
 
-    sig = make_semicircular()
-    table, u = from_quantile_table(sig.quantile_ps, sig.quantile_xs), polynomial_even(0.5, 0.05)
+    ps = np.linspace(0.0, 1.0, 8193)
+    table = from_quantile_table(ps, np.where(ps <= 0.5, 2.0 * ps - 1.0, 4.0 * ps - 2.0))
+    u = polynomial_even(0.5, 0.05)
+    z, w = np.polynomial.legendre.leggauss(60)
+    x, wx = np.r_[0.5 * (z - 1.0), z + 1.0], np.r_[0.25 * w, 0.25 * w]
+    exact = float(wx @ np.log(1.0 + 0.2 * (x[:, None] ** 2 + np.outer(x, x) + x[None, :] ** 2)) @ wx)
     assert lp_mod._root_jacobian(series_of(table), u.deriv_coeffs) is None
-    assert abs(log_jacobian(table, u).value - SEMICIRCLE_POLY_JACOBIAN) <= 1e-7
+    assert abs(log_jacobian(table, u).value - exact) <= 1e-7
     # sigma's own series is two terms long, and the root route takes it
+    sig = make_semicircular()
     assert abs(log_jacobian(sig, u).value - SEMICIRCLE_POLY_JACOBIAN) <= 1e-12
+
+
+def test_log_jacobian_takes_the_root_route_on_a_closed_form_table():
+    # the angle reader recovers sigma's two-term series from its table
+    from freelab.measures import from_quantile_table
+
+    sig = make_semicircular()
+    table = from_quantile_table(sig.quantile_ps, sig.quantile_xs)
+    assert abs(log_jacobian(table, polynomial_even(0.5, 0.05)).value
+               - SEMICIRCLE_POLY_JACOBIAN) <= 1e-12
+
+
+def _series_less_closed_forms():
+    """(table, H inside, H outside, log energy) of sigma, MP(0.7), MP(1) and
+    arcsine(1.3, 0.2), their tables without the series they carry.  H is
+    t / (2 pi), 1 / (2 pi s) and 0 inside; G(z) = 2 / (z + sqrt(z^2 - 4)),
+    (1 - sqrt((z - 4s) / z)) / (2s) and 1 / sqrt((z - c)^2 - R^2) outside."""
+    from freelab.measures import from_quantile_table
+
+    def root(d, edge):
+        return np.sign(d) * np.sqrt((np.abs(d) - edge) * (np.abs(d) + edge))
+
+    cases = [(make_semicircular(), lambda t: t / (2.0 * np.pi),
+              lambda t: 2.0 / (np.pi * (t + root(t, 2.0))), -0.25)]
+    for s in (0.7, 1.0):
+        cases.append((make_marchenko_pastur_family(s), lambda t, s=s: np.full_like(t, 1.0 / (2.0 * np.pi * s)),
+                      lambda t, s=s: (1.0 - np.sqrt((t - 4.0 * s) / t)) / (2.0 * np.pi * s),
+                      np.log(s) - 0.5))
+    cases.append((make_arcsine(1.3, 0.2), np.zeros_like,
+                  lambda t: 1.0 / (np.pi * root(t - 0.2, 1.3)), np.log(1.3 / 2.0)))
+    return [(from_quantile_table(mu.quantile_ps, mu.quantile_xs), inside, outside, energy)
+            for mu, inside, outside, energy in cases]
+
+
+def test_hilbert_transform_of_series_less_tables_meets_closed_forms():
+    for table, inside, outside, _ in _series_less_closed_forms():
+        ts = _probes(table)
+        assert np.max(np.abs(hilbert_transform(table, ts) - inside(ts))) <= 1e-9, table.label
+        out = np.array([table.support_hi + 0.1, table.support_hi + 2.0, table.support_lo - 0.5])
+        assert np.max(np.abs(hilbert_transform(table, out) - outside(out))) <= 1e-9, table.label
+
+
+def test_log_energy_of_series_less_tables_meets_closed_forms():
+    for table, _, _, exact in _series_less_closed_forms():
+        e = log_energy(table)
+        assert abs(e.value - exact) <= 1e-13, table.label
+        assert e.error_est >= abs(e.value - exact), table.label
 
 
 def test_inverse_free_lsi_reaches_the_quadrature_only_without_slope_coefficients(monkeypatch):
@@ -481,64 +560,124 @@ def _probes(mu):
 
 
 def test_series_hilbert_transform_meets_closed_forms_on_solver_tables():
-    # 2 pi H mu = u' on the support: c t for quadratic(c), 0 for a flat well
+    # 2 pi H mu = u' on the support: c t for quadratic(c), 0 for a flat well;
+    # without the carried series the transform reads the solver's table
+    from dataclasses import replace
+
     from freelab.equilibrium import solve_equilibrium
-    from freelab.logpotential import _series_hilbert
 
     for c in (0.5, 1.0, 3.7):
-        mu = solve_equilibrium(quadratic(c)).measure
+        mu = replace(solve_equilibrium(quadratic(c)).measure, series=None)
         ts = _probes(mu)
-        assert np.max(np.abs(2.0 * np.pi * _series_hilbert(mu, ts) - c * ts)) <= 1e-10, c
+        assert np.max(np.abs(2.0 * np.pi * hilbert_transform(mu, ts) - c * ts)) <= 1e-10, c
     for radius in (0.7, 1.0, 1.2):
-        mu = solve_equilibrium(arcsine_indicator(radius)).measure
-        assert np.max(np.abs(2.0 * np.pi * _series_hilbert(mu, _probes(mu)))) <= 1e-10, radius
+        mu = replace(solve_equilibrium(arcsine_indicator(radius)).measure, series=None)
+        assert np.max(np.abs(2.0 * np.pi * hilbert_transform(mu, _probes(mu)))) <= 1e-10, radius
+
+
+def _spline_residual(mu, u):
+    """euler_lagrange_residual's probe-and-band rule on the spline reference."""
+    ts = _probes(mu)
+    h = 1e-9 * (1.0 + np.abs(ts))
+    side = np.stack([u.d(ts - h), u.d(ts), u.d(ts + h)])
+    spline = CubicSpline(mu.quantile_ps, mu.quantile_xs)
+    target = 2.0 * np.pi * np.array([_hilbert_one_point(mu, t, spline=spline) for t in ts])
+    return float(np.max(np.maximum(np.maximum(target - side.max(axis=0),
+                                              side.min(axis=0) - target), 0.0)))
 
 
 @pytest.mark.parametrize("u", [quadratic(1.0), quartic(0.25), polynomial_even(0.5, 0.125),
                                linear_halfline(1.0), arcsine_indicator(1.2)],
                          ids=lambda u: u.label)
 def test_series_residual_of_a_solve_is_below_the_spline_residual(u):
-    from freelab.equilibrium import solve_equilibrium
-    from freelab.logpotential import _series_euler_lagrange_residual
+    from dataclasses import replace
 
-    mu = solve_equilibrium(u).measure
-    series = _series_euler_lagrange_residual(mu, u)
+    from freelab.equilibrium import solve_equilibrium
+
+    mu = replace(solve_equilibrium(u).measure, series=None)
+    series = euler_lagrange_residual(mu, u)
     assert series <= 1e-9
-    assert series <= euler_lagrange_residual(mu, u)
+    assert series <= _spline_residual(mu, u)
 
 
 def test_series_and_spline_residuals_agree_where_the_measure_is_off():
     # both transforms see the same large defect, so both still fail the
     # CLI's default --tol of 1e-3
+    from dataclasses import replace
+
     from freelab.equilibrium import solve_equilibrium
-    from freelab.logpotential import _series_euler_lagrange_residual
     from freelab.potentials import legendre_transform
 
     for u in (abs_potential(), legendre_transform(quartic(1.0))):
-        mu = solve_equilibrium(u).measure
-        series = _series_euler_lagrange_residual(mu, u)
-        spline = euler_lagrange_residual(mu, u)
+        mu = replace(solve_equilibrium(u).measure, series=None)
+        series = euler_lagrange_residual(mu, u)
+        spline = _spline_residual(mu, u)
         assert series > 1e-3 and spline > 1e-3, u.label
         assert abs(series - spline) <= 0.02 * spline, u.label
+
+
+def _edge_angle(x, lo, hi):
+    """theta of x = m + r cos(theta), by the half-angle formula from the
+    nearer edge."""
+    if x >= 0.5 * (lo + hi):
+        return 2.0 * np.arcsin(np.sqrt(min(max((hi - x) / (hi - lo), 0.0), 1.0)))
+    return np.pi - 2.0 * np.arcsin(np.sqrt(min(max((x - lo) / (hi - lo), 0.0), 1.0)))
+
+
+def _lagrange_read(ps, xs, ks):
+    """G = 1 - p at the read angles pi k / 2^14, k in ks, one at a time: the
+    Lagrange cubic in the angle through the rows i - 1 .. i + 2 about the
+    point's bracket [t_i, t_i+1], the rows continued by G(-t) = -G(t) and
+    G(2 pi - t) = 2 - G(t), clipped into the bracket; linear in the bracket
+    where two of the four rows share an angle."""
+    lo, hi = xs[0], xs[-1]
+    t = np.array([_edge_angle(x, lo, hi) for x in xs[::-1]])
+    g = 1.0 - ps[::-1]
+    t = np.r_[-t[1], t, 2.0 * np.pi - t[-2]]
+    g = np.r_[-g[1], g, 2.0 - g[-2]]
+    m, r = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    out = []
+    for theta in np.pi * ks / 2 ** 14:
+        tx = _edge_angle(m + r * np.cos(theta), lo, hi)
+        i = min(int(np.searchsorted(t, tx, side="right")) - 1, t.size - 3)
+        nodes, vals = t[i - 1:i + 3], g[i - 1:i + 3]
+        if np.unique(nodes).size < 4:
+            w = (tx - t[i]) / (t[i + 1] - t[i]) if t[i + 1] > t[i] else 0.0
+            value = g[i] + w * (g[i + 1] - g[i])
+        else:
+            value = sum(vals[a] * np.prod([(tx - nodes[b]) / (nodes[a] - nodes[b])
+                                           for b in range(4) if b != a]) for a in range(4))
+        out.append(min(max(value, g[i]), g[i + 1]))
+    return np.array(out)
 
 
 def test_chebyshev_moments_read_the_shared_angle_table_bitwise():
     from scipy.fft import dst
 
-    from freelab._angle_series import ANGLES, _angle_table, chebyshev_moments
+    from freelab._angle_series import ANGLES, _angle_table, _read_angles, _read_g, chebyshev_moments
+    from freelab.equilibrium import solve_equilibrium
+    from freelab.measures import from_quantile_table
 
     n = ANGLES
-    theta = np.pi * np.arange(1, n) / n
+    ks = np.r_[1:64, 64:n - 64:7, n - 64:n]  # both edges, and every 7th angle between
+    u = abs_potential()
+    atoms = pushforward_monotone(solve_equilibrium(u).measure, u.d)  # about 1/2 at -1 and at 1
+    half = np.linspace(0.0, 0.5, 513)  # 1/2 on [-2, -1] and on [1, 2]: a flat stretch
+    gap = from_quantile_table(np.r_[half, 0.5 + half], np.r_[-2.0 + 2.0 * half, 1.0 + 2.0 * half])
     for mu in (make_semicircular(), make_arcsine(1.3, 0.2), make_marchenko_pastur_family(0.7),
-               pushforward_monotone(make_semicircular(), lambda x: x + 0.25 * x ** 3)):
+               pushforward_monotone(make_semicircular(), lambda x: x + 0.25 * x ** 3), atoms, gap):
         ps, xs = mu.quantile_ps, mu.quantile_xs
-        m, r = 0.5 * (xs[0] + xs[-1]), 0.5 * (xs[-1] - xs[0])
-        g = 1.0 - np.interp(m + r * np.cos(theta), xs, ps) - theta / np.pi
-        want = np.arange(1, n) * (np.pi / (2 * n)) * dst(g, type=1)
+        g = _read_g(ps, xs)
+        assert np.max(np.abs(g[ks - 1] - _lagrange_read(ps, xs, ks))) <= 1e-13, mu.label
+        assert np.all(np.diff(g) >= 0.0), mu.label
+        frac, _, weight = _angle_table()
         got_m, got_r, got = chebyshev_moments(ps, xs)
-        assert (got_m, got_r) == (m, r), mu.label
-        assert np.array_equal(got, want), mu.label
-    for table in _angle_table():
+        assert (got_m, got_r) == (0.5 * (xs[0] + xs[-1]), 0.5 * (xs[-1] - xs[0])), mu.label
+        assert np.array_equal(got, weight * dst(g - frac, type=1)), mu.label
+    # the gap's G is 1/2 across it, exactly
+    mid = np.abs(np.cos(np.pi * np.arange(1, n) / n)) < 0.45
+    assert np.all(_read_g(gap.quantile_ps, gap.quantile_xs)[mid] == 0.5)
+    for table in _angle_table() + (_read_angles(-2.0, 2.0),):
         with pytest.raises(ValueError):
             table[0] = 0.0
 
