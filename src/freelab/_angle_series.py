@@ -15,10 +15,9 @@ The angle tables are built once and shared read-only.
 
 A table without a series is read in the angle: G at the read points is the
 4-point Lagrange interpolant of the rows' (theta, G), clipped into the two
-bracketing rows, so G stays monotone and atoms and flat stretches exact.
+bracketing rows, so G stays between them and atoms and flat stretches exact.
 Rows and read points take their angle from one edge-accurate formula
-(`angle`), so reads on the solver's uniform-angle tables hit its rows.  On
-the closed-form laws' tables the moments are then exact to rounding.
+(`angle`), so reads on the solver's uniform-angle tables hit its rows.
 """
 
 from __future__ import annotations
@@ -59,32 +58,34 @@ def _read_angles(lo: float, hi: float) -> np.ndarray:
 
 
 def _read_g(ps: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """G = 1 - p of the table (ps, xs) at its read points by the clipped
-    Lagrange rule of the module docstring, in Newton form about each point's
-    bracket [t_i, t_i+1]: linear, plus u (u - h_i) (a_i + b_i u), u = theta - t_i.
-    Rows continue past 0 and pi by G(-t) = -G(t) and G(2 pi - t) = 2 - G(t)."""
+    """G = 1 - p of the table (ps, xs) at its read points by the rule of the
+    module docstring: about a point's bracket i, the cubic through rows i - 1
+    .. i + 2 is the chord less l (1 - l) (A + B l), l the fraction through
+    the bracket, A = h^2 (a + h_i-1 b) and B = h^3 b from its width h and the
+    divided differences a, b; rows go on as G(-t) = -G(t), G(2pi - t) = 2 - G(t)."""
     inner = (xs[1:-1] == xs[:-2]) & (xs[1:-1] == xs[2:])
     if inner.any():  # only the first and last row of an atom bound G
         keep = np.r_[True, ~inner, True]
         ps, xs = ps[keep], xs[keep]
     t = angle(xs[::-1], xs[0], xs[-1])  # ascending in theta, as G is
     g = 1.0 - ps[::-1]
-    tx = _read_angles(float(xs[0]), float(xs[-1]))
-    i = np.minimum(np.interp(tx, t, np.arange(t.size, dtype=float)).astype(np.intp), t.size - 2)
-    out = np.interp(tx, t, g)
-    # divided differences of the rows; a stencil spanning rows of equal theta
-    # (an atom) makes them inf or nan, and the linear term answers alone there
-    tp = np.r_[-t[1], t, 2.0 * np.pi - t[-2]]
+    lam = np.interp(_read_angles(float(xs[0]), float(xs[-1])), t, np.arange(t.size, dtype=float))
+    i = np.minimum(lam.astype(np.intp), t.size - 2)
+    lam -= i
+    tp = np.concatenate(([-t[1]], t, [2.0 * np.pi - t[-2]]))
     h = np.diff(tp)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        a = np.diff(np.diff(np.r_[-g[1], g, 2.0 - g[-2]]) / h) / (tp[2:] - tp[:-2])
+    dg = np.diff(np.concatenate(([-g[1]], g, [2.0 - g[-2]])))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        a = np.diff(dg / h) / (tp[2:] - tp[:-2])
         b = np.diff(a) / (tp[3:] - tp[:-3])
-        a = a[:-1] + h[:-2] * b
-    bad = ~np.isfinite(b)
-    a[bad] = b[bad] = 0.0
-    u = tx - t[i]
-    out += u * (u - h[i + 1]) * (a[i] + u * b[i])
-    return np.clip(out, g[i], g[i + 1], out=out)
+        big_b = h[1:-1] * h[1:-1]  # h^2, then B
+        big_a = big_b * (a[:-1] + h[:-2] * b)
+        big_b *= h[1:-1] * b
+        big_a, big_b = np.where(np.isfinite(big_a + big_b), [big_a, big_b], 0.0)  # atom: chord
+    g_i = np.take(g, i)  # G = g_i + l (dg - A + l (A - B + l B))
+    out = ((np.take(big_b, i) * lam + np.take(big_a - big_b, i)) * lam
+           + np.take(dg[1:-1] - big_a, i)) * lam + g_i
+    return np.minimum(np.maximum(out, g_i, out=out), np.take(g[1:], i), out=out)
 
 
 def chebyshev_moments(ps: np.ndarray, xs: np.ndarray):
@@ -142,17 +143,21 @@ def sine_tables(t: np.ndarray, kk: int) -> tuple[np.ndarray, ...]:
     return np.sin(qt), np.cos(qt), np.cos(st), np.sin(st)
 
 
-def sine_sum(coeff: np.ndarray, t: np.ndarray, tables=None) -> np.ndarray:
+def sine_sum(coeff: np.ndarray, t: np.ndarray, tables=None, each: bool = False) -> np.ndarray:
     """sum_{k >= 1} coeff[k - 1] sin(k t) at each angle t.
 
     With k = q B + s and B = ceil(sqrt(K + 1)), sin(k t) = sin(q B t)
     cos(s t) + cos(q B t) sin(s t), so the sum takes about 4 B sines and
     cosines per angle and two matrix products against the B-wide rows of
     coefficients, instead of a table of K sines per angle.  ``tables`` are
-    `sine_tables(t, coeff.size)`, passed in where t is a fixed grid.
+    `sine_tables(t, coeff.size)`, passed in where t is a fixed grid.  With
+    ``each``, each angle is reduced on its own, independent of the batch.
     """
     kk = coeff.size
     sin_q, cos_q, cos_s, sin_s = sine_tables(t, kk) if tables is None else tables
     blocks = np.zeros((sin_q.shape[1], cos_s.shape[1]))
     blocks.flat[1:kk + 1] = coeff  # row q holds modes q B .. q B + B - 1
+    if each:
+        return np.array([sq @ (blocks @ cs) + cq @ (blocks @ ss)
+                         for sq, cq, cs, ss in zip(sin_q, cos_q, cos_s, sin_s)])
     return np.sum(sin_q * (cos_s @ blocks.T) + cos_q * (sin_s @ blocks.T), axis=1)

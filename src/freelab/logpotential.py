@@ -76,7 +76,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._angle_series import ANGLES, angle, chebyshev_moments, series_energy, series_of, sine_tables
+from ._angle_series import ANGLES, angle, chebyshev_moments, series_energy, series_of, sine_sum
 from ._grids import ENERGY_CELLS, GL2_T, GL2_W, chebyshev_angles, cosine_graded, gauss_legendre_01
 from .errors import InvalidInputError, SingularEvaluationError
 from .measures import GridMeasure, moment, pushforward_monotone
@@ -249,16 +249,16 @@ def log_energy(mu: GridMeasure, cells: int = ENERGY_CELLS) -> EnergyValue:
     else the table's Chebyshev series when its upper-half tail is below
     1e-10, with error estimate |E - E_2| / 3 + tail, E_2 being the series
     of the table with every other row dropped (the end rows kept).
-    Otherwise, and for a support of zero width, runs the quadrature at
-    ``cells`` and ``cells // 2`` cells, with error estimate |full - half| /
-    3; ``cells`` sets only that fallback's resolution.  A nan full pass
-    (atoms) returns nan for both without the half pass.
+    Otherwise, and for a support of zero width or a repeated x (an atom),
+    runs the quadrature at ``cells`` and ``cells // 2`` cells, with error
+    estimate |full - half| / 3; ``cells`` sets only that fallback's
+    resolution.  A nan full pass returns nan for both without the half pass.
     """
     if mu.series is not None:
         value = series_energy(mu.series[1], mu.series[2])
         return EnergyValue(value, 1e-15 * (1.0 + abs(value)))
     ps, xs = mu.quantile_ps, mu.quantile_xs
-    if xs[-1] > xs[0]:
+    if xs[-1] > xs[0] and not np.any(xs[1:] == xs[:-1]):
         value, tail = _series_energy(ps, xs)
         if tail < _SERIES_TAIL:
             rows = np.r_[0:ps.size - 1:2, ps.size - 1]
@@ -334,13 +334,8 @@ def hilbert_transform(mu: GridMeasure, t, cells: int = 4096):
     ks = np.arange(1, c.size + 1)
     out = np.empty(flat.shape)
     inside = (mu.support_lo < flat) & (flat < mu.support_hi)
-    # `sine_sum` one point at a time, so that a value does not depend on its batch
     phi = angle(flat[inside], m - r, m + r)
-    sin_q, cos_q, cos_s, sin_s = sine_tables(phi, c.size)
-    blocks = np.zeros((sin_q.shape[1], cos_s.shape[1]))
-    blocks.flat[1:c.size + 1] = c
-    sums = [sq @ (blocks @ cs) + cq @ (blocks @ ss) for sq, cq, cs, ss in zip(sin_q, cos_q, cos_s, sin_s)]
-    out[inside] = (-2.0 / (np.pi * r)) * np.array(sums) / np.sin(phi)
+    out[inside] = (-2.0 / (np.pi * r)) * sine_sum(c, phi, each=True) / np.sin(phi)
     d = flat[~inside] - m
     root = np.sign(d) * np.sqrt((np.abs(d) - r) * (np.abs(d) + r))
     out[~inside] = (1.0 + 2.0 * np.array([z ** ks @ c for z in r / (d + root)])) / (np.pi * root)
@@ -437,7 +432,7 @@ def euler_lagrange_residual(mu: GridMeasure, u: Potential,
     h = 1e-9 * (1.0 + np.abs(ts))
     side = np.stack([u.d(ts - h), u.d(ts), u.d(ts + h)])
     target = 2.0 * np.pi * hilbert_transform(mu, ts)
-    return float(max(np.max(target - side.max(axis=0)), np.max(side.min(axis=0) - target), 0.0))
+    return float(max(0.0, np.max(target - side.max(axis=0)), np.max(side.min(axis=0) - target)))
 
 
 def schwinger_dyson_residual(mu: GridMeasure, u: Potential, max_degree: int = 6) -> float:

@@ -240,11 +240,12 @@ def test_cli_equilibrium_density_table_is_the_semicircle(tmp_path):
 
 
 def test_cli_equilibrium_rejects_unmet_tolerance(capsys):
-    # the residual of a polynomial solve is rounding (about 3e-16 for the
-    # quartic); abs's jump in u' leaves a real one
-    code = main(["equilibrium", "--potential", "abs",
-                 "--nodes", "1024", "--tol", "1e-15"])
-    assert code == 3
+    # the Legendre conjugate's residual, about 1.8e-8, passes the default
+    # --tol of 1e-3 and fails 1e-9, so the exit code shows --tol is read
+    argv = ["equilibrium", "--potential", "legendre:of=(quadratic:c=1)", "--nodes", "1024"]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main(argv + ["--tol", "1e-9"]) == 3
     assert "residual" in capsys.readouterr().err
 
 

@@ -378,6 +378,20 @@ def test_log_energy_of_series_less_tables_meets_closed_forms():
         assert e.error_est >= abs(e.value - exact), table.label
 
 
+def test_log_energy_of_a_table_with_an_atom_skips_the_series(monkeypatch):
+    import freelab.logpotential as lp_mod
+    from freelab.equilibrium import solve_equilibrium
+
+    def refuse(ps, xs):
+        raise AssertionError("series read on a table with an atom")
+
+    u = abs_potential()
+    atoms = pushforward_monotone(solve_equilibrium(u).measure, u.d)  # about 1/2 at -1 and at 1
+    monkeypatch.setattr(lp_mod, "chebyshev_moments", refuse)
+    e = log_energy(atoms)
+    assert np.isnan(e.value) and np.isnan(e.error_est)
+
+
 def test_inverse_free_lsi_reaches_the_quadrature_only_without_slope_coefficients(monkeypatch):
     import freelab.logpotential as lp_mod
     from freelab.inequalities import verify
