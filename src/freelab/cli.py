@@ -302,29 +302,34 @@ def _settings(config: RunConfig) -> SolverSettings:
 
 # ---------------------------------------------------------------------------
 # report emission
+#
+# Every --out file leaves through ``_write``: a record is a JSON payload plus
+# a CSV header and rows of raw values, and both writers spell each scalar with
+# ``_scalar``.
 
-def _float_token(x) -> str:
-    x = float(x)
-    if math.isnan(x):
-        return '"nan"'
-    if math.isinf(x):
-        return '"infinity"' if x > 0 else '"neg_infinity"'
-    return "%.17g" % x
+_SENTINELS = {"infinity": np.inf, "neg_infinity": -np.inf, "nan": np.nan}
 
 
-def _float_cell(x) -> str:
-    x = float(x)
-    if math.isnan(x):
-        return "nan"
-    if math.isinf(x):
-        return "infinity" if x > 0 else "neg_infinity"
-    return "%.17g" % x
+def _scalar(x) -> str:
+    """One report value as text: floats to 17 significant digits, non-finite
+    floats as a ``_SENTINELS`` word, booleans as ``true`` / ``false``."""
+    if isinstance(x, (float, np.floating)):
+        x = float(x)
+        if math.isfinite(x):
+            return "%.17g" % x
+        return "nan" if math.isnan(x) else ("infinity" if x > 0 else "neg_infinity")
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    return str(x)
 
 
 def _json_text(obj, indent: int = 0) -> str:
     # floats first: most leaves are floats, and the Mapping check is slow
     if isinstance(obj, float):
-        return _float_token(obj)
+        text = _scalar(obj)
+        return f'"{text}"' if text in _SENTINELS else text
     pad = "  " * indent
     if isinstance(obj, Mapping):
         if not obj:
@@ -341,15 +346,12 @@ def _json_text(obj, indent: int = 0) -> str:
             return "[" + ", ".join(_json_text(v) for v in obj) + "]"
         body = ",\n".join(f"{pad}  {_json_text(v, indent + 1)}" for v in obj)
         return "[\n" + body + "\n" + pad + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _float_token(obj)
     if obj is None:
         return "null"
-    return json.dumps(str(obj))
+    text = _scalar(obj)
+    if isinstance(obj, (int, np.integer, np.floating)) and text not in _SENTINELS:
+        return text
+    return json.dumps(text)
 
 
 def _write_json(payload: Mapping, path: str):
@@ -361,20 +363,55 @@ def _write_csv(path: str, header, rows):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerows([_scalar(x) for x in row] for row in rows)
 
 
-def _inputs_descriptor(report: InequalityReport) -> str:
-    return " ".join(f"{k}={v}" for k, v in report.inputs.items())
+def _write(path: str, format: str, payload: Mapping, header, rows):
+    if format == "csv":
+        _write_csv(path, header, rows)
+    else:
+        _write_json(payload, path)
+
+
+def _payload(seed: int, fields: Mapping, **tables) -> dict:
+    """v1 report layout: the record's fields between the schema version and
+    the pinned wall clock and seed, then any long tables."""
+    return {"schema_version": SCHEMA_VERSION, **fields,
+            "runtime_ms": 0, "seed": seed, **tables}
+
+
+def _load_float(value) -> float:
+    return _SENTINELS[value] if isinstance(value, str) else float(value)
+
+
+def _load_inputs(value) -> MappingProxyType:
+    return MappingProxyType({str(k): str(v) for k, v in value.items()})
+
+
+# (json key, InequalityReport attribute, loader), in file order; the emitter
+# and ``load_report`` both read it
+_INEQUALITY_FIELDS = (
+    ("kind", "kind", str),
+    ("lhs", "lhs", _load_float),
+    ("rhs", "rhs", _load_float),
+    ("deficit", "deficit", _load_float),
+    ("pass", "passed", bool),
+    ("tolerance", "tolerance", _load_float),
+    ("inputs", "inputs", _load_inputs),
+    ("resolution", "resolution", int),
+)
+
+_SUMMARY_HEADER = ["kind", "inputs", "lhs", "rhs", "deficit", "pass"]
 
 
 def _summary_row(report: InequalityReport):
-    return [report.kind, _inputs_descriptor(report),
-            _float_cell(report.lhs), _float_cell(report.rhs),
-            _float_cell(report.deficit), "true" if report.passed else "false"]
+    inputs = " ".join(f"{k}={v}" for k, v in report.inputs.items())
+    return [report.kind, inputs, report.lhs, report.rhs, report.deficit, report.passed]
 
 
-_SUMMARY_HEADER = ["kind", "inputs", "lhs", "rhs", "deficit", "pass"]
+def _inequality_record(report: InequalityReport, seed: int):
+    fields = {key: getattr(report, attr) for key, attr, _ in _INEQUALITY_FIELDS}
+    return _payload(seed, fields), _SUMMARY_HEADER, [_summary_row(report)]
 
 
 def _density_table(mu: GridMeasure) -> list:
@@ -385,119 +422,76 @@ def _density_table(mu: GridMeasure) -> list:
     rho = mu.density_at(nodes)
     rho = rho / np.trapezoid(rho, nodes)
     idx = np.unique(np.linspace(0, nodes.size - 1, 1025).round().astype(int))
-    return [[float(x), float(r)] for x, r in zip(nodes[idx], rho[idx])]
+    return np.column_stack((nodes[idx], rho[idx])).tolist()
+
+
+def _solve_fields(label: str, res: EquilibriumResult, *names) -> dict:
+    """Leading fields of equilibrium and moment-map reports."""
+    return {"measure": label, "support": [res.support_lo, res.support_hi],
+            **{name: getattr(res, name) for name in ("el_constant", "pressure", *names)}}
+
+
+def _equilibrium_record(res: EquilibriumResult, seed: int):
+    table = _density_table(res.measure)
+    fields = _solve_fields(res.measure.label, res, "el_residual", "sd_residual", "energy",
+                           "potential_moment", "iterations", "method", "converged")
+    return _payload(seed, fields, density=table), ["x", "density"], table
+
+
+def _series_record(series: ConvergenceSeries, seed: int):
+    ns, stats = [int(n) for n in series.n_values], [float(s) for s in series.statistic]
+    fields = {"label": series.label, "target": series.target, "n_values": ns, "statistic": stats}
+    rows = [[n, s, series.target] for n, s in zip(ns, stats)]
+    return _payload(seed, fields), ["N", "statistic", "target"], rows
+
+
+def _transport_record(val: TransportValue, seed: int):
+    fields = {"cost": val.cost, "cost_squared": val.cost_squared,
+              "coupling": val.coupling_descriptor, "resolution": val.resolution}
+    return _payload(seed, fields), ["cost", "cost_squared"], [[val.cost, val.cost_squared]]
+
+
+_RECORDS = {
+    InequalityReport: _inequality_record,
+    EquilibriumResult: _equilibrium_record,
+    ConvergenceSeries: _series_record,
+    TransportValue: _transport_record,
+}
 
 
 def emit_report(report, path: str, format: str = "json", seed: int = 0):
     """Serialize a report deterministically; wall-clock fields become zero."""
-    if isinstance(report, InequalityReport):
-        if format == "csv":
-            _write_csv(path, _SUMMARY_HEADER, [_summary_row(report)])
-            return
-        _write_json({
-            "schema_version": SCHEMA_VERSION,
-            "kind": report.kind,
-            "lhs": report.lhs,
-            "rhs": report.rhs,
-            "deficit": report.deficit,
-            "pass": report.passed,
-            "tolerance": report.tolerance,
-            "inputs": dict(report.inputs),
-            "resolution": report.resolution,
-            "runtime_ms": 0,
-            "seed": seed,
-        }, path)
-        return
-    if isinstance(report, EquilibriumResult):
-        mu = report.measure
-        table = _density_table(mu)
-        if format == "csv":
-            _write_csv(path, ["x", "density"],
-                       [[_float_cell(x), _float_cell(r)] for x, r in table])
-            return
-        _write_json({
-            "schema_version": SCHEMA_VERSION,
-            "measure": mu.label,
-            "support": [report.support_lo, report.support_hi],
-            "el_constant": report.el_constant,
-            "pressure": report.pressure,
-            "el_residual": report.el_residual,
-            "sd_residual": report.sd_residual,
-            "energy": report.energy,
-            "potential_moment": report.potential_moment,
-            "iterations": report.iterations,
-            "method": report.method,
-            "converged": report.converged,
-            "runtime_ms": 0,
-            "seed": seed,
-            "density": table,
-        }, path)
-        return
-    if isinstance(report, ConvergenceSeries):
-        if format == "csv":
-            _write_csv(path, ["N", "statistic", "target"],
-                       [[int(n), _float_cell(s), _float_cell(report.target)]
-                        for n, s in zip(report.n_values, report.statistic)])
-            return
-        _write_json({
-            "schema_version": SCHEMA_VERSION,
-            "label": report.label,
-            "target": report.target,
-            "n_values": [int(n) for n in report.n_values],
-            "statistic": [float(s) for s in report.statistic],
-            "runtime_ms": 0,
-            "seed": seed,
-        }, path)
-        return
-    if isinstance(report, TransportValue):
-        if format == "csv":
-            _write_csv(path, ["cost", "cost_squared"],
-                       [[_float_cell(report.cost), _float_cell(report.cost_squared)]])
-            return
-        _write_json({
-            "schema_version": SCHEMA_VERSION,
-            "cost": report.cost,
-            "cost_squared": report.cost_squared,
-            "coupling": report.coupling_descriptor,
-            "resolution": report.resolution,
-            "runtime_ms": 0,
-            "seed": seed,
-        }, path)
-        return
-    raise InvalidInputError(f"cannot serialize {type(report).__name__}")
-
-
-_SENTINELS = {"infinity": np.inf, "neg_infinity": -np.inf, "nan": np.nan}
-
-
-def _load_float(value) -> float:
-    if isinstance(value, str):
-        if value not in _SENTINELS:
-            raise InvalidInputError(f"unknown float sentinel {value!r}")
-        return _SENTINELS[value]
-    return float(value)
+    record = _RECORDS.get(type(report))
+    if record is None:
+        raise InvalidInputError(f"cannot serialize {type(report).__name__}")
+    _write(path, format, *record(report, seed))
 
 
 def load_report(path: str) -> InequalityReport:
     """Inverse of ``emit_report`` for inequality reports."""
     with open(path) as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except ValueError as exc:
+            raise InvalidInputError(f"report file {path} is not JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise InvalidInputError(f"report file {path} is not a JSON object")
     if data.get("schema_version") != SCHEMA_VERSION:
-        raise InvalidInputError(f"unsupported schema_version {data.get('schema_version')!r}")
+        raise InvalidInputError(f"report file {path}: unsupported schema_version "
+                                f"{data.get('schema_version')!r}")
+    fields = {}
+    for key, attr, load in (*_INEQUALITY_FIELDS, ("runtime_ms", "runtime_ms", int)):
+        if key not in data:
+            raise InvalidInputError(f"report file {path} is missing field {key!r}")
+        try:
+            fields[attr] = load(data[key])
+        except (AttributeError, KeyError, TypeError, ValueError):
+            raise InvalidInputError(f"report file {path}: field {key!r} cannot be "
+                                    f"read from {data[key]!r}") from None
     try:
-        return InequalityReport(
-            kind=data["kind"],
-            lhs=_load_float(data["lhs"]),
-            rhs=_load_float(data["rhs"]),
-            deficit=_load_float(data["deficit"]),
-            tolerance=_load_float(data["tolerance"]),
-            passed=bool(data["pass"]),
-            inputs=MappingProxyType({str(k): str(v) for k, v in data["inputs"].items()}),
-            resolution=int(data["resolution"]),
-            runtime_ms=int(data["runtime_ms"]),
-        )
-    except KeyError as exc:
-        raise InvalidInputError(f"report file {path} is missing field {exc}") from None
+        return InequalityReport(**fields)
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"report file {path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -523,14 +517,9 @@ def _cmd_pressure(config: RunConfig) -> int:
     res = solve_equilibrium(u, _settings(config))
     print(f"pressure({u.label}) = {res.pressure:.12g}")
     if config.output_path:
-        _write_json({
-            "schema_version": SCHEMA_VERSION,
-            "potential": u.label,
-            "pressure": res.pressure,
-            "nodes": config.nodes,
-            "runtime_ms": 0,
-            "seed": config.seed,
-        }, config.output_path)
+        fields = {"potential": u.label, "pressure": res.pressure, "nodes": config.nodes}
+        _write(config.output_path, config.format, _payload(config.seed, fields),
+               ["potential", "pressure"], [[u.label, res.pressure]])
     return 0
 
 
@@ -553,21 +542,10 @@ def _cmd_moment_map(config: RunConfig) -> int:
     if config.output_path:
         pad = 0.25 * (res.support_hi - res.support_lo)
         xs = np.linspace(res.support_lo - pad, res.support_hi + pad, 513)
-        us = u.value(xs)
-        if config.format == "csv":
-            _write_csv(config.output_path, ["x", "u"],
-                       [[_float_cell(x), _float_cell(v)] for x, v in zip(xs, us)])
-        else:
-            _write_json({
-                "schema_version": SCHEMA_VERSION,
-                "measure": mu.label,
-                "support": [res.support_lo, res.support_hi],
-                "el_constant": res.el_constant,
-                "pressure": res.pressure,
-                "runtime_ms": 0,
-                "seed": config.seed,
-                "potential": [[float(x), float(v)] for x, v in zip(xs, us)],
-            }, config.output_path)
+        table = np.column_stack((xs, u.value(xs))).tolist()
+        _write(config.output_path, config.format,
+               _payload(config.seed, _solve_fields(mu.label, res), potential=table),
+               ["x", "u"], table)
     return 0
 
 
@@ -713,8 +691,7 @@ def _cmd_rmt_sample(config: RunConfig) -> int:
         u, int(config.options["n"]), int(config.options["sweeps"]),
         seed=config.seed, chains=int(config.options["chains"]))
     header = ["sweep"] + [f"eig_{j}" for j in range(1, sample.N + 1)]
-    rows = [[str(i)] + [_float_cell(x) for x in xs]
-            for i, xs in enumerate(sample.eigenvalue_sets)]
+    rows = [[i, *xs] for i, xs in enumerate(sample.eigenvalue_sets)]
     _write_csv(config.output_path, header, rows)
     print(f"rmt sample({u.label}): N={sample.N}, retained "
           f"{len(sample.eigenvalue_sets)} sweeps over {sample.chains} chain(s), "
@@ -789,7 +766,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--out", metavar="PATH", default=None,
                         help="report file to write")
     common.add_argument("--format", choices=("json", "csv"), default="json",
-                        help="report format (default %(default)s)")
+                        help="report format (default %(default)s); rmt sample always "
+                             "writes CSV, verify-suite JSON reports plus a CSV summary")
 
     parser = argparse.ArgumentParser(
         prog="freelab",

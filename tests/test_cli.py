@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import os
@@ -185,6 +186,29 @@ def test_load_report_rejects_other_schemas(tmp_path):
         load_report(str(path))
 
 
+_GOOD_REPORT = {
+    "schema_version": 1, "kind": "SSFTI", "lhs": 0.5, "rhs": 1.0, "deficit": 0.5,
+    "pass": True, "tolerance": 1e-3, "inputs": {}, "resolution": 256,
+    "runtime_ms": 0, "seed": 0,
+}
+
+
+@pytest.mark.parametrize("text", [
+    "{not json",
+    "[1, 2, 3]",
+    json.dumps({**_GOOD_REPORT, "inputs": []}),
+    json.dumps({**_GOOD_REPORT, "resolution": "fine"}),
+], ids=["not-json", "top-level-array", "inputs-array", "resolution-text"])
+def test_load_report_rejects_malformed_files(tmp_path, text):
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(_GOOD_REPORT))
+    assert load_report(str(good)).deficit == 0.5
+    path = tmp_path / "malformed.json"
+    path.write_text(text)
+    with pytest.raises(InvalidInputError, match="malformed.json"):
+        load_report(str(path))
+
+
 # ---------------------------------------------------------------------------
 # single commands end to end
 
@@ -364,6 +388,49 @@ def test_cli_moment_map_potential_is_pointwise_u(tmp_path):
         assert table[:, 1].tolist() == [u.value(x) for x in table[:, 0]]
 
 
+def _parsed(value):
+    """A CSV cell or a JSON scalar as one comparable value: sentinel words
+    and numbers as floats, true/false as bools, other text unchanged."""
+    if isinstance(value, bool) or value in ("true", "false"):
+        return value in (True, "true")
+    try:
+        return float({"neg_infinity": "-inf"}.get(value, value))
+    except ValueError:
+        return value
+
+
+_FORMAT_PARITY = {
+    "w2": (["w2", "--mu", "semicircle:mean=1,var=1", "--nu", "arcsine:radius=1"],
+           ["cost", "cost_squared"], lambda d: [[d["cost"], d["cost_squared"]]]),
+    "verify": (["verify", "ssfti", "--mu", "semicircle:var=4", "--nu", "semicircle:var=0.25"],
+               ["kind", "inputs", "lhs", "rhs", "deficit", "pass"],
+               lambda d: [[d["kind"], " ".join(f"{k}={v}" for k, v in d["inputs"].items()),
+                           d["lhs"], d["rhs"], d["deficit"], d["pass"]]]),
+    # a comma in the label makes the CSV quote it; the pressure must come
+    # back bit for bit
+    "pressure": (["pressure", "--potential", "poly:c2=0.5,c4=0.125", "--nodes", "1024"],
+                 ["potential", "pressure"], lambda d: [[d["potential"], d["pressure"]]]),
+    "rmt-converge": (["rmt", "converge", "--potential", "quadratic:c=1", "--ns", "8,16",
+                      "--sweeps", "80", "--chains", "1", "--nodes", "512", "--seed", "5"],
+                     ["N", "statistic", "target"],
+                     lambda d: [[n, s, d["target"]]
+                                for n, s in zip(d["n_values"], d["statistic"])]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_FORMAT_PARITY))
+def test_cli_csv_cells_parse_to_the_json_values(tmp_path, command):
+    argv, header, expected_rows = _FORMAT_PARITY[command]
+    for fmt in ("json", "csv"):
+        assert main(argv + ["--format", fmt, "--out", str(tmp_path / f"r.{fmt}")]) == 0
+    data = json.loads((tmp_path / "r.json").read_text())
+    with open(tmp_path / "r.csv", newline="") as fh:
+        lines = list(csv.reader(fh))
+    assert lines[0] == header
+    assert ([[_parsed(c) for c in row] for row in lines[1:]]
+            == [[_parsed(v) for v in row] for row in expected_rows(data)])
+
+
 # ---------------------------------------------------------------------------
 # rmt commands
 
@@ -415,8 +482,6 @@ def test_cli_rmt_converge_rejects_bad_ns(capsys):
 # verify-suite
 
 def _write_manifest(path, rows):
-    import csv
-
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         for row in rows:
