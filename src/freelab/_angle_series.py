@@ -115,23 +115,27 @@ def series_moment(series, k: int) -> float:
     return float(a[0] + a[1:1 + tau.size] @ tau[:k])
 
 
-@lru_cache(maxsize=8)
-def quantile_cos(tau: tuple, n: int) -> np.ndarray:
-    """cos(theta(p)), G(theta(p)) = 1 - p, at the n-point `gauss_legendre_01`
-    nodes p for the angle series ``tau`` (a tuple): pi G inverted on 4097
-    uniform angles, then two Newton steps."""
-    tau = np.array(tau)
+def solve_angle(tau: np.ndarray, target: np.ndarray, steps: int) -> np.ndarray:
+    """theta in [0, pi] with pi G(theta) = target for the angle series tau: pi G
+    inverted on 4097 uniform angles, then Newton (slow at a soft edge, where G' = 0)."""
     ks = np.arange(1, tau.size + 1)
     sin_w = tau / ks
-    target = np.pi * (1.0 - gauss_legendre_01(n)[0])
     grid = np.linspace(0.0, np.pi, 4097)
     pi_g = grid + 2.0 * np.sin(np.outer(grid, ks)) @ sin_w
     theta = np.interp(target, np.maximum.accumulate(pi_g), grid)
-    for _ in range(2):
+    for _ in range(steps):
         kt = np.outer(theta, ks)
         slope = np.maximum(1.0 + 2.0 * np.cos(kt) @ tau, 1e-300)
         theta = np.clip(theta - (theta + 2.0 * np.sin(kt) @ sin_w - target) / slope, 0.0, np.pi)
-    return read_only(np.cos(theta))[0]
+    return theta
+
+
+@lru_cache(maxsize=8)
+def quantile_cos(tau: tuple, n: int) -> np.ndarray:
+    """cos(theta(p)), G(theta(p)) = 1 - p, at the n-point `gauss_legendre_01`
+    nodes p for the angle series ``tau`` (a tuple), by two Newton steps."""
+    target = np.pi * (1.0 - gauss_legendre_01(n)[0])
+    return read_only(np.cos(solve_angle(np.array(tau), target, 2)))[0]
 
 
 def sine_tables(t: np.ndarray, kk: int) -> tuple[np.ndarray, ...]:

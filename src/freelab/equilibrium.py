@@ -1,4 +1,4 @@
-"""Equilibrium measures, free pressure, and the moment map.
+"""Equilibrium measures, free pressure, and the free moment map.
 
 The one-cut solver works in the angle variable of the support interval
 [m - r, m + r]: writing x = m + r cos(theta), every equilibrium quantity
@@ -10,7 +10,8 @@ measured from the right edge, the density in theta is
 (1 + 2 sum tau_k cos(k theta))/pi, and the logarithmic energy is
 log(r/2) - 2 sum tau_k^2 / k.  Soft edges determine (m, r) through the two
 endpoint conditions of u'; hard edges pin an endpoint at the domain wall and
-the one remaining soft-edge condition (if any) is solved by bracketing.
+the one remaining soft-edge condition (if any) is solved by bracketing.  The
+moment map iterates on tau through the same soft-edge step (`_soft_moments`).
 
 An :class:`EquilibriumResult` keeps (m, r, tau) as its ``series``, which
 the scalar reads take; its quantile table (``measure``) and the
@@ -42,7 +43,7 @@ import numpy as np
 from scipy.fft import dct, dst
 from scipy.optimize import brentq
 
-from ._angle_series import series_energy, series_moment, sine_sum as _sine_sum, sine_tables
+from ._angle_series import series_energy, series_moment, sine_sum as _sine_sum, sine_tables, solve_angle
 from ._grids import DEFAULT_NODES, chebyshev_angles, read_only
 from .errors import InvalidInputError, MultiCutError, SolverError
 from .logpotential import (
@@ -52,8 +53,8 @@ from .logpotential import (
     integrate_potential,
     schwinger_dyson_residual,
 )
-from .measures import GridMeasure, from_quantile_table, ks_distance, pushforward_monotone
-from .potentials import Potential, table_potential, tilt_linear
+from .measures import GridMeasure, from_quantile_table
+from .potentials import Potential, tilt_linear
 
 __all__ = [
     "SolverSettings",
@@ -68,23 +69,21 @@ __all__ = [
 
 _CDF_GRID = 32768
 _NEGATIVITY_SLACK = 5e-3
+_MAP_MODES = 64  # tau_1 .. tau_64 of the moment map's nu
 
 
 @dataclass(frozen=True)
 class SolverSettings:
     nodes: int = DEFAULT_NODES      # angles per solve; polynomial u' solves exactly at any count
-    tol: float = 1e-11              # endpoint-condition residual target
-    max_iter: int = 60
+    tol: float = 1e-11              # endpoint-condition residual and moment-map tau step target
+    max_iter: int = 60              # endpoint Newton and moment-map round budget
     allow_nonconvex: bool = False   # accept possible non-uniqueness
-    map_iterations: int = 48        # moment-map fixed-point budget
-    map_tolerance: float = 1e-5     # moment-map pushforward KS target
 
     def __post_init__(self):
         if not self.nodes >= 256:
             raise InvalidInputError("nodes must be at least 256")
-        if not (0.0 < self.tol < math.inf and 0.0 < self.map_tolerance < math.inf
-                and min(self.max_iter, self.map_iterations) >= 1):
-            raise InvalidInputError("tolerances must be positive and finite, budgets at least 1")
+        if not (0.0 < self.tol < math.inf and self.max_iter >= 1):
+            raise InvalidInputError("tol must be positive and finite, max_iter at least 1")
 
 
 @dataclass(frozen=True)
@@ -138,18 +137,19 @@ def _chebyshev_trig(k: int):
     return read_only(np.cos(theta), np.sin(theta))
 
 
-def _tau_soft(u: Potential, m: float, r: float, cos: np.ndarray):
-    """Chebyshev moments for two soft edges, plus the endpoint residuals."""
-    k = cos.size
-    f = u.d(m + r * cos)
+def _soft_moments(f: np.ndarray, r: float | None = None):
+    """Soft-edge tau from u' = f at the Chebyshev angles of a support of half-width
+    r (None: 4 / c_1), both endpoint residuals, and f's Chebyshev c (c_0 = 0)."""
+    k = f.size
     y = dct(f, type=2)
     c = y / k
     c[0] = 0.0  # the constant mode never enters the density
+    r = 4.0 / c[1] if r is None else r
     res1 = y[0] / (2.0 * k)           # mean of u' against the angle grid
     res2 = c[1] - 4.0 / r
     tau = np.zeros(k)
     tau[1:k - 1] = (r / 8.0) * (c[2:] - c[:k - 2])
-    return tau, res1, res2
+    return tau, res1, res2, c
 
 
 def _tau_wall(u: Potential, m: float, r: float, cos: np.ndarray, sin: np.ndarray):
@@ -268,7 +268,7 @@ def _newton_soft(u: Potential, cos: np.ndarray, cfg: SolverSettings, seed):
     def residual(mv, rv):
         if rv <= 0 or mv - rv <= u.domain_lo or mv + rv >= u.domain_hi:
             return None
-        _, r1, r2 = _tau_soft(u, mv, rv, cos)
+        _, r1, r2, _ = _soft_moments(u.d(mv + rv * cos), rv)
         return np.array([r1, r2])
 
     res = residual(m, r)
@@ -368,7 +368,7 @@ def solve_equilibrium(u: Potential, cfg: SolverSettings | None = None) -> Equili
     try:
         m, r, iters = _newton_soft(u, cos, cfg, _laplace_seed(u) if a is None else _poly_seed(a))
         if _fits_inside(u, m, r):
-            tau, _, _ = _tau_soft(u, m, r, cos)
+            tau = _soft_moments(u.d(m + r * cos), r)[0]
             if a is not None:
                 tau[a.size + 1:] = 0.0  # zero in exact arithmetic
             return _assemble(u, m, r, tau, "soft", iters, cfg)
@@ -451,49 +451,47 @@ def entropy_duality_check(mu: GridMeasure, potential_family, cfg: SolverSettings
 
 
 def moment_map(mu: GridMeasure, cfg: SolverSettings | None = None):
-    """Convex potential u with mu = (u')# nu_u, and the solved nu_u.
+    """Convex potential u with mu = (u')# nu_u, and the solved nu_u, centered.
 
-    Fixed-point iteration on u' = Q_mu o F_nu; the additive constant of u is
-    set by u(barycenter of nu_u) = 0.
+    u' = Q_mu o F_nu is a fixed point in nu's tau_1 .. tau_64 (`_soft_moments`
+    of Q_mu(1 - G_tau) at the ``nodes`` angles), iterated from the semicircle's
+    tau until no tau_k moves by ``tol``.  Q_mu is exact for series of at most 64
+    terms (8 Newton steps reach soft edges), else a table's (about 1e-7).  u
+    integrates that series, linear outside, with u(0) = u(bar nu) = 0.
     """
     cfg = cfg or SolverSettings()
-    bar = mu.barycenter()
-    if abs(bar) > 1e-8:
+    if abs(mu.barycenter()) > 1e-8:
         raise InvalidInputError("moment map needs a centered measure")
     if mu.support_hi - mu.support_lo < 1e-10:
         raise InvalidInputError("moment map is undefined at a point mass")
 
-    box = max(8.0, 2.0 * mu.radius + 4.0)
-    grid = np.linspace(-box, box, 32769)
-
-    nu_meas = None
-    u = None
-    defect = np.inf
-    for _ in range(cfg.map_iterations):
-        if nu_meas is None:
-            slopes = np.clip(grid, mu.support_lo, mu.support_hi)  # start from identity transport
-        else:
-            slopes = mu.quantile(nu_meas.cdf(grid))
-        slopes = np.maximum.accumulate(slopes)
-        us = np.concatenate([[0.0], np.cumsum(
-            0.5 * (slopes[1:] + slopes[:-1]) * np.diff(grid))])
-        u = table_potential(grid, us, label="moment-map")
-        result = solve_equilibrium(u, cfg)
-        nu_meas = result.measure
-        push = pushforward_monotone(
-            nu_meas, lambda x: np.interp(x, grid, slopes), label="u'#nu")
-        defect = ks_distance(push, mu)
-        if defect < cfg.map_tolerance:
+    series = mu.series if mu.series is not None and mu.series[2].size <= _MAP_MODES else None
+    theta = chebyshev_angles(cfg.nodes)
+    ks = np.arange(1, _MAP_MODES + 1)
+    tau = np.r_[0.0, 0.0, -0.5, np.zeros(_MAP_MODES - 2)]  # the semicircle's
+    for it in range(1, cfg.max_iter + 1):
+        pi_g = theta + dst(tau[1:] / ks, type=3, n=cfg.nodes)  # pi G_tau = pi (1 - F_nu)
+        new, _, _, c = _soft_moments(mu.quantile(1.0 - pi_g / np.pi) if series is None else
+                                     series[0] + series[1] * np.cos(solve_angle(series[2], pi_g, 8)))
+        step, tau = np.max(np.abs(new[:_MAP_MODES + 1] - tau)), new[:_MAP_MODES + 1]
+        if step < cfg.tol:
             break
     else:
-        raise SolverError(
-            f"moment-map iteration stalled at pushforward defect {defect:.3g}")
+        raise SolverError(f"moment-map iteration stalled at a tau step of {step:.3g}")
 
-    # re-anchor u(bar nu) = 0
-    shift = np.interp(nu_meas.barycenter(), grid, us)
-    u = table_potential(grid, us - shift, label=f"moment-map({mu.label})")
-    result = solve_equilibrium(u, cfg)
-    return u, result
+    r = 4.0 / c[1]
+    m = -r * tau[1]
+    du = np.polynomial.Chebyshev(c[:_MAP_MODES + 2], domain=[m - r, m + r])
+    iu = du.integ(lbnd=0.0)
+
+    def fn(x):
+        s = np.clip(x, m - r, m + r)
+        return iu(s) + (x - s) * du(s)
+
+    # u' = Q_mu o F_nu is nondecreasing; twice the support holds the CLI's 25% pad
+    u = Potential(fn, lambda x: du(np.clip(x, m - r, m + r)), m - 2.0 * r, m + 2.0 * r,
+                  True, True, f"moment-map({mu.label})")
+    return u, _assemble(u, m, r, tau, "soft", it, cfg)
 
 
 def find_centering_shift(f: Potential, search_box=(-8.0, 8.0),

@@ -5,9 +5,8 @@ costs, so W2 and the maximal-correlation functional reduce to quantile
 integrals.  All pairwise quantities are evaluated on one shared
 Gauss-Legendre grid on (0, 1): polarization and translation identities then
 hold to machine precision rather than to quadrature tolerance.  Where both
-measures carry angle series of at most 64 terms, W2 and the maximal
-correlation solve them for the quantiles at those nodes
-(`_angle_series.quantile_cos`).
+measures carry angle series of at most 64 terms, the quantiles at those
+nodes are solved from them (`_angle_series.quantile_cos`).
 """
 
 from __future__ import annotations
@@ -105,8 +104,7 @@ def w2_atomic_oracle(mu: AtomicMeasure, nu: AtomicMeasure) -> TransportValue:
 
 def translation_identity_check(mu: GridMeasure, nu: GridMeasure, a: float) -> float:
     """Defect of (1/2) W2(mu_a, nu)^2 = (1/2) W2(mu, nu)^2 + a bar(mu) - a bar(nu) + a^2/2."""
-    t, wts = gauss_legendre_01(TRANSPORT_POINTS)
-    qm, qn = mu.quantile(t), nu.quantile(t)
+    qm, qn, wts = _shared_quantiles(mu, nu, TRANSPORT_POINTS)
     lhs = 0.5 * float(wts @ (qm + a - qn) ** 2)
     bar_m = float(wts @ qm)
     bar_n = float(wts @ qn)
@@ -122,8 +120,7 @@ def ssfti_functional(mu: GridMeasure, nu: GridMeasure) -> float:
     exactly when mu is semicircular.  Used as the optimality probe for
     moment_map.
     """
-    t, wts = gauss_legendre_01(TRANSPORT_POINTS)
-    qm, qn = mu.quantile(t), nu.quantile(t)
+    qm, qn, wts = _shared_quantiles(mu, nu, TRANSPORT_POINTS)
     m2 = float(wts @ qn ** 2)
     cost2 = float(wts @ (qm - qn) ** 2)
     return 0.5 * m2 - float(chi(nu)) - 0.5 * cost2

@@ -372,6 +372,15 @@ def test_cli_moment_map_on_semicircle(tmp_path):
     assert mid[1] == pytest.approx(0.5, abs=0.05)
 
 
+@pytest.mark.parametrize("var", [0.01, 100.0])
+def test_cli_moment_map_on_narrow_and_wide_semicircles(tmp_path, var):
+    out = tmp_path / "mm.json"
+    assert main(["moment-map", "--mu", f"semicircle:var={var:g}", "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    edge = 2.0 / np.sqrt(var)
+    assert data["support"] == pytest.approx([-edge, edge], rel=1e-12)
+
+
 def test_cli_moment_map_potential_is_pointwise_u(tmp_path):
     # the report evaluates u on all 513 points in one call; a point-by-point
     # loop is the reference, in both formats

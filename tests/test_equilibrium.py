@@ -276,6 +276,35 @@ def test_moment_map_requires_centered_input():
         moment_map(make_semicircular(mean=0.5))
 
 
+@pytest.mark.parametrize("c", [0.25, 0.7, 2.0, 4.0])
+def test_moment_map_of_a_semicircle_is_exact(c):
+    # u = c x^2 / 2 and nu = sigma_{1/c}, so the functional meets its bound
+    mu = make_semicircular(variance=c)
+    _, res = moment_map(mu)
+    assert abs(res.support_hi - 2.0 / np.sqrt(c)) < 1e-10
+    assert abs(res.support_lo + 2.0 / np.sqrt(c)) < 1e-10
+    assert abs(res.pressure - 0.5 * np.log(2.0 * np.pi / c)) < 1e-10
+    analytic = 0.5 + 0.5 * np.log(c) - 0.5 * c - HALF_LOG_2PI
+    assert abs(ssfti_functional(mu, res.measure) - analytic) < 1e-10
+
+
+@pytest.mark.parametrize("mu", [make_arcsine(1.0), translate(make_marchenko_pastur_family(1.0), -1.0)],
+                         ids=["arcsine", "shifted-mp"])
+def test_moment_map_pushes_nu_onto_mu(mu):
+    from freelab._angle_series import quantile_cos
+
+    u, res = moment_map(mu)
+    assert res.series[2].size <= 64
+    qs = [m + r * quantile_cos(tuple(tau.tolist()), 8192) for m, r, tau in (res.series, mu.series)]
+    assert np.max(np.abs(u.d(qs[0]) - qs[1])) <= 1e-10
+    assert abs(res.measure.barycenter()) <= 1e-12
+
+
+def test_moment_map_stall_raises_solver_error():
+    with pytest.raises(SolverError, match="stalled"):
+        moment_map(make_arcsine(1.0), SolverSettings(max_iter=2))
+
+
 def test_find_centering_shift_quadratics():
     cs0 = find_centering_shift(quadratic(1.0), search_box=(-2.0, 2.0))
     assert cs0.found and abs(cs0.lam) < 1e-8
@@ -593,9 +622,7 @@ def test_a_solve_builds_its_table_once_on_first_read(monkeypatch):
 @pytest.mark.parametrize("setting", [
     {"nodes": 0}, {"nodes": 1}, {"nodes": 2}, {"nodes": 255},
     {"tol": 0.0}, {"tol": -1e-11}, {"tol": np.inf}, {"tol": np.nan},
-    {"map_tolerance": 0.0}, {"map_tolerance": -1e-5}, {"map_tolerance": np.inf},
-    {"map_tolerance": np.nan},
-    {"max_iter": 0}, {"max_iter": -3}, {"map_iterations": 0}, {"map_iterations": -1},
+    {"max_iter": 0}, {"max_iter": -3},
 ])
 def test_solver_settings_reject_invalid_values(setting):
     with pytest.raises(InvalidInputError):
@@ -603,8 +630,7 @@ def test_solver_settings_reject_invalid_values(setting):
 
 
 def test_solver_settings_accept_the_smallest_valid_values():
-    cfg = SolverSettings(nodes=256, tol=1e-300, max_iter=1, map_iterations=1,
-                         map_tolerance=1e-300)
+    cfg = SolverSettings(nodes=256, tol=1e-300, max_iter=1)
     assert cfg.nodes == 256
 
 
