@@ -619,10 +619,17 @@ def test_a_solve_builds_its_table_once_on_first_read(monkeypatch):
     assert np.array_equal(mu.quantile_ps, ps) and np.array_equal(mu.quantile_xs, xs)
 
 
+# Case ids are fixed so that a case keeps its name when others are dropped.
+_INVALID_SETTINGS = {
+    0: {"nodes": 0}, 1: {"nodes": 1}, 2: {"nodes": 2}, 3: {"nodes": 255},
+    4: {"tol": 0.0}, 5: {"tol": -1e-11}, 6: {"tol": np.inf}, 7: {"tol": np.nan},
+    8: {"tol": -np.inf}, 9: {"nodes": -256},
+    12: {"max_iter": 0}, 13: {"max_iter": -3},
+}
+
+
 @pytest.mark.parametrize("setting", [
-    {"nodes": 0}, {"nodes": 1}, {"nodes": 2}, {"nodes": 255},
-    {"tol": 0.0}, {"tol": -1e-11}, {"tol": np.inf}, {"tol": np.nan},
-    {"max_iter": 0}, {"max_iter": -3},
+    pytest.param(s, id=f"setting{i}") for i, s in _INVALID_SETTINGS.items()
 ])
 def test_solver_settings_reject_invalid_values(setting):
     with pytest.raises(InvalidInputError):
