@@ -4,9 +4,9 @@ The continuum objects in the rest of the package arise as N -> infinity
 limits of Hermitian matrix models.  This module keeps the dictionary
 honest at desk scale: a Metropolis sampler for the beta = 2 eigenvalue
 gas, the exact entropy renormalization that fixes the (1/2) log N
-counterterm, matrix-integral pressure estimates (exact quadrature for
-tiny N, thermodynamic integration above), and the trace form of the
-Fenchel-Young inequality.
+counterterm, the finite-N matrix-integral pressure (exact at every N
+through the orthogonal polynomials of exp(-N u) on a cutoff box), and
+the trace form of the Fenchel-Young inequality.
 
 All matrix integrals are taken against Lebesgue measure on the
 Hilbert-Schmidt isometry coordinates (diagonal entries plus sqrt(2) times
@@ -15,16 +15,16 @@ across N without further bookkeeping.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._grids import gauss_legendre_01
 from .equilibrium import EquilibriumResult, solve_equilibrium
 from .errors import InvalidInputError, SolverError
 from .logpotential import integrate_potential
 from .measures import GridMeasure
-from .potentials import Potential, fenchel_young_gap, quadratic
+from .potentials import Potential, fenchel_young_gap
 
 __all__ = [
     "ConvergenceSeries",
@@ -39,8 +39,9 @@ __all__ = [
 ]
 
 MAX_PARTICLES = 512
-DIRECT_MAX_PARTICLES = 6
-TI_KNOTS = 16
+# Gauss-Legendre nodes of the pressure rule: the floor resolves the
+# |y|^(4/3) cusp of legendre(quartic) at 0 to 1e-8
+PRESSURE_NODES = 4096
 
 _TUNE_WINDOW = 50
 _ACCEPT_LO, _ACCEPT_HI = 0.2, 0.6
@@ -207,101 +208,50 @@ def _weyl_log_constant(n: int) -> float:
         - sum(math.lgamma(j + 1) for j in range(1, n + 1))
 
 
-def _hankel_log_integral(u: Potential, box: float, n: int) -> float:
-    """log of int_{[-box,box]^n} Vandermonde^2 prod exp(-n u(x_i)) dx."""
-    lo = max(-box, u.domain_lo)
-    hi = min(box, u.domain_hi)
-    if hi <= lo:
-        raise InvalidInputError("cutoff box misses the domain of the potential")
-    t, w = np.polynomial.legendre.leggauss(400)
-    xs = 0.5 * (hi - lo) * t + 0.5 * (hi + lo)
-    ws = 0.5 * (hi - lo) * w
-    weight = ws * np.exp(-n * np.asarray(u.value(xs), dtype=float))
-    moments = [float(np.sum(weight * xs ** k)) for k in range(2 * n - 1)]
-    hankel = np.array([[moments[i + j] for j in range(n)] for i in range(n)])
-    sign, logdet = np.linalg.slogdet(hankel)
-    if sign <= 0:
-        raise SolverError("moment Hankel matrix lost positivity")
-    return math.lgamma(n + 1) + float(logdet)
-
-
-def _mix_potentials(a: Potential, b: Potential, t: float) -> Potential:
-    lo = max(a.domain_lo, b.domain_lo)
-    hi = min(a.domain_hi, b.domain_hi)
-    return Potential(
-        fn=lambda x: (1.0 - t) * a.value(x) + t * b.value(x),
-        deriv=lambda x: (1.0 - t) * a.d(x) + t * b.d(x),
-        domain_lo=lo, domain_hi=hi,
-        is_convex=a.is_convex and b.is_convex,
-        growth_ok=a.growth_ok and b.growth_ok,
-        label=f"mix({a.label},{b.label},{t:.4g})",
-    )
-
-
-def micro_pressure_estimate(u: Potential, R: float, N: int, seed: int = 0,
-                            method: str = "auto") -> float:
+def micro_pressure_estimate(u: Potential, R: float, N: int) -> float:
     """Finite-N matrix-model pressure (1/N^2) log Z + (1/2) log N.
 
-    ``method`` picks the route: "direct" (N <= 6 only) evaluates the
-    eigenvalue integral over [-R, R]^N exactly through the Hankel
-    determinant of truncated moments; "ti" runs thermodynamic integration
-    from the quadratic reference matched to the equilibrium support of u,
-    whose finite-N pressure is closed-form at every N.  "auto" takes the
-    exact route whenever it is available.  Monte-Carlo noise above 0.02
-    flags a TI estimate as low-confidence via a warning.
+    Z integrates exp(-N tr_N u(M)) over the Hermitian N x N matrices whose
+    eigenvalues lie in the box [-R, R].  The eigenvalue integral is
+    N! prod_{k<N} h_k, with h_k the squared norms of the monic orthogonal
+    polynomials of exp(-N u) on the box.  The discretized Stieltjes
+    procedure gives them as products of the recurrence coefficients
+    beta_k, run on sqrt-weighted orthonormal vectors over
+    max(PRESSURE_NODES, 16 N) Gauss-Legendre nodes so that nothing
+    overflows.  The value is exact up to that rule.  R must cover the
+    equilibrium support, so the box only trims the tails of the gas.
     """
-    if N < 1 or N > 256:
-        raise InvalidInputError("N must lie in [1, 256]")
-    if R <= 0:
-        raise InvalidInputError("cutoff radius must be positive")
-    if method not in ("auto", "direct", "ti"):
-        raise InvalidInputError(f"unknown micro-pressure method {method!r}")
-    if method == "direct" and N > DIRECT_MAX_PARTICLES:
-        raise InvalidInputError(
-            f"direct quadrature is limited to N <= {DIRECT_MAX_PARTICLES}")
-    if method != "ti" and N <= DIRECT_MAX_PARTICLES:
-        log_z = _hankel_log_integral(u, R, N)
-        return (_weyl_log_constant(N) + log_z) / (N * N) + 0.5 * math.log(N)
-
+    if not isinstance(N, (int, np.integer)) or not 1 <= N <= 256:
+        raise InvalidInputError("N must be an integer in [1, 256]")
+    if not (math.isfinite(R) and R > 0):
+        raise InvalidInputError("cutoff radius must be positive and finite")
+    lo = max(-R, u.domain_lo)
+    hi = min(R, u.domain_hi)
+    if hi <= lo:
+        raise InvalidInputError("cutoff box misses the domain of the potential")
     res = solve_equilibrium(u)
     radius = max(abs(res.support_lo), abs(res.support_hi))
     if radius > R:
         raise InvalidInputError(
-            f"cutoff {R:g} truncates the equilibrium support (radius {radius:g}); "
-            "the unconstrained reference would not match")
-    alpha = 4.0 / radius ** 2
-    reference = quadratic(alpha)
-    eta_ref = 0.5 * math.log(2.0 * math.pi / alpha)  # exact at every N
+            f"cutoff {R:g} truncates the equilibrium support (radius {radius:g})")
 
-    probe = np.linspace(-radius - 1.0, radius + 1.0, 513)
-    gap = np.asarray(u.value(probe), dtype=float) - reference.value(probe)
-    if np.max(np.abs(gap)) < 1e-12 * (1.0 + np.max(np.abs(u.value(probe)))):
-        return eta_ref
-
-    t, w = np.polynomial.legendre.leggauss(TI_KNOTS)
-    knots = 0.5 * (t + 1.0)
-    weights = 0.5 * w
-    children = np.random.SeedSequence(seed).spawn(TI_KNOTS)
-    means = np.empty(TI_KNOTS)
-    errs = np.empty(TI_KNOTS)
-    for k, (tk, child) in enumerate(zip(knots, children)):
-        mixed = _mix_potentials(reference, u, tk)
-        sample = sample_eigenvalues(mixed, N, sweeps=300,
-                                    seed=int(child.generate_state(1)[0]))
-        per_sweep = np.array([
-            float(np.mean(u.value(xs) - reference.value(xs)))
-            for xs in sample.eigenvalue_sets])
-        # batch means absorb the autocorrelation of the chain
-        batches = per_sweep[: per_sweep.size - per_sweep.size % 10].reshape(-1, 10)
-        bm = batches.mean(axis=1)
-        means[k] = float(per_sweep.mean())
-        errs[k] = float(bm.std(ddof=1) / math.sqrt(bm.size))
-    estimate = eta_ref - float(np.sum(weights * means))
-    noise = float(np.sqrt(np.sum((weights * errs) ** 2)))
-    if noise > 0.02:
-        warnings.warn(f"thermodynamic integration noise {noise:.3f} exceeds 0.02; "
-                      "treat the micro-pressure estimate as low-confidence")
-    return estimate
+    t, w = gauss_legendre_01(max(PRESSURE_NODES, 16 * N))
+    xs = lo + (hi - lo) * t
+    log_w = np.log((hi - lo) * w) - N * np.asarray(u.value(xs), dtype=float)
+    shift = float(np.max(log_w))
+    r = np.exp(0.5 * (log_w - shift))
+    q_prev = np.zeros_like(r)
+    log_beta = np.empty(N)
+    for k in range(N):
+        beta = float(r @ r)
+        log_beta[k] = math.log(beta)
+        root = math.sqrt(beta)
+        q = r / root
+        r = (xs - float(xs @ (q * q))) * q - root * q_prev
+        q_prev = q
+    # log h_k = shift + log beta_0 + ... + log beta_k
+    log_z = math.lgamma(N + 1) + N * shift + float(np.sum(np.cumsum(log_beta)))
+    return (_weyl_log_constant(N) + log_z) / (N * N) + 0.5 * math.log(N)
 
 
 def matrix_fenchel_young_check(f: Potential, g: Potential, N: int,

@@ -310,7 +310,7 @@ def test_criterion_8_rmt_suite():
 
     thresholds = {8: 0.15, 16: 0.08, 32: 0.05, 64: 0.03}
     for n, bound in thresholds.items():
-        value = micro_pressure_estimate(quadratic(1.0), R=2.5, N=n, seed=1)
+        value = micro_pressure_estimate(quadratic(1.0), R=2.5, N=n)
         if abs(value - HALF_LOG_2PI) >= bound:
             failures.append(f"micro pressure N={n}: {value:.6f}")
 

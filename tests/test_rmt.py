@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from freelab import rmt
 from freelab.equilibrium import solve_equilibrium
 from freelab.errors import HypothesisError, InvalidInputError
 from freelab.potentials import (
@@ -9,6 +10,7 @@ from freelab.potentials import (
     polynomial_even,
     quadratic,
     quartic,
+    shift_potential,
 )
 from freelab.rmt import (
     ConvergenceSeries,
@@ -44,7 +46,8 @@ def test_micro_pressure_quadratic_direct_all_sizes():
 
 def test_micro_pressure_hankel_matches_tensor_quadrature():
     # independent oracle: brute-force 3D quadrature of the Vandermonde-
-    # squared integral, bypassing the determinant identity entirely
+    # squared integral, bypassing the orthogonal-polynomial identity
+    # entirely; 1.01272961 is the former Hankel route's value
     t, w = np.polynomial.legendre.leggauss(80)
     xs, ws = 4.0 * t, 4.0 * w
     X, Y, Z = np.meshgrid(xs, xs, xs, indexing="ij")
@@ -59,32 +62,59 @@ def test_micro_pressure_hankel_matches_tensor_quadrature():
     assert abs(v - 1.01272961) < 1e-7
 
 
-def test_micro_pressure_ti_agrees_with_direct_route():
-    v = polynomial_even(0.5, 0.125)
-    direct = micro_pressure_estimate(v, R=4.0, N=6)
-    ti = micro_pressure_estimate(v, R=4.0, N=6, seed=13, method="ti")
-    assert abs(ti - direct) < 5e-3
+def test_micro_pressure_matches_frozen_hankel_values():
+    # values of the former moment-Hankel determinant route at N = 6
+    for u, frozen in ((polynomial_even(0.5, 0.125), 0.776829880211836),
+                      (quartic(0.25), 1.0176785926644143)):
+        assert abs(micro_pressure_estimate(u, R=4.0, N=6) - frozen) < 1e-12
 
 
-def test_micro_pressure_ti_quadratic_hits_reference():
-    # the support-matched reference coincides with the input, so the
-    # interpolation defect vanishes and the estimate is closed-form
-    for n, bound in ((8, 0.15), (16, 0.08), (32, 0.05), (64, 0.03)):
-        v = micro_pressure_estimate(quadratic(1.0), R=4.0, N=n, seed=1)
-        assert abs(v - HALF_LOG_2PI) < bound
+def test_micro_pressure_quadratic_hits_reference():
+    # the GUE pressure is (1/2) log 2 pi at every N once the box holds the gas
+    for n in (8, 16, 32, 64, 128, 256):
+        v = micro_pressure_estimate(quadratic(1.0), R=4.0, N=n)
         assert abs(v - HALF_LOG_2PI) < 1e-12
 
 
+def test_micro_pressure_is_converged_in_the_node_count(monkeypatch):
+    u = quartic(0.25)
+    v = micro_pressure_estimate(u, R=6.0, N=64)
+    monkeypatch.setattr(rmt, "PRESSURE_NODES", 2 * rmt.PRESSURE_NODES)
+    assert abs(micro_pressure_estimate(u, R=6.0, N=64) - v) < 1e-12
+
+
+def test_micro_pressure_genus_one_limit():
+    # N^2 (p_N - p_inf) tends to the closed-form genus-one constant of
+    # these one-cut gases; Richardson in 1/N^2 removes the next order
+    s = (np.sqrt(7.0 / 16.0) - 0.25) * 16.0 / 3.0
+    for u, limit in ((quartic(0.25), -np.log(4.0) / 24.0),
+                     (polynomial_even(0.5, 0.125), -np.log(7.0 * s * s / 16.0) / 24.0)):
+        p_inf = solve_equilibrium(u).pressure
+        g = {n: n * n * (micro_pressure_estimate(u, R=6.0, N=n) - p_inf)
+             for n in (64, 128)}
+        assert abs((4.0 * g[128] - g[64]) / 3.0 - limit) < 1e-9
+
+
 def test_micro_pressure_input_validation():
+    bad = (
+        dict(R=-1.0, N=2),
+        dict(R=float("nan"), N=2),
+        dict(R=float("nan"), N=8),
+        dict(R=float("inf"), N=2),
+        dict(R=float("inf"), N=8),
+        dict(R=4.0, N=2.5),
+        dict(R=4.0, N=0),
+        dict(R=4.0, N=257),
+        # cutoff cuts into the equilibrium support, at every N
+        dict(R=1.0, N=2),
+        dict(R=1.0, N=8),
+    )
+    for kwargs in bad:
+        with pytest.raises(InvalidInputError):
+            micro_pressure_estimate(quadratic(1.0), **kwargs)
     with pytest.raises(InvalidInputError):
-        micro_pressure_estimate(quadratic(1.0), R=-1.0, N=2)
-    with pytest.raises(InvalidInputError):
-        micro_pressure_estimate(quadratic(1.0), R=4.0, N=8, method="direct")
-    with pytest.raises(InvalidInputError):
-        micro_pressure_estimate(quadratic(1.0), R=4.0, N=2, method="hankel")
-    with pytest.raises(InvalidInputError):
-        # cutoff cuts into the equilibrium support on the sampled route
-        micro_pressure_estimate(quadratic(1.0), R=1.0, N=8, method="ti")
+        # the box misses the domain of the hard wall
+        micro_pressure_estimate(shift_potential(arcsine_indicator(1.0), 10.0), R=4.0, N=2)
 
 
 def test_micro_santalo_product_at_n1():
