@@ -29,8 +29,7 @@ K Chebyshev angles, K the least power of two >= max(8, d + 3), where the
 DCT-II is exact: tau_1 .. tau_{d+1} are exact, the rest vanish and are
 dropped, int u d(nu) is Gauss-Chebyshev on the same angles, and Newton
 starts from the coefficients (`_poly_seed`).  Other potentials keep the
-``nodes``-angle solve and scanned seed bit for bit: a Legendre conjugate's
-Newton path is chaotic at rounding level, so any change moves its support.
+``nodes``-angle solve and the scanned seed.
 """
 
 from __future__ import annotations
@@ -301,11 +300,6 @@ def _newton_soft(u: Potential, cos: np.ndarray, cfg: SolverSettings, seed):
             else:
                 moved = False
         if not moved:
-            # scanned or tabulated potentials carry ~1e-9 derivative noise;
-            # stalling inside that floor is convergence for any practical
-            # tolerance, stalling above it is a genuine failure
-            if nrm < max(1e3 * cfg.tol, 1e-8):
-                return m, r, it
             raise SolverError("endpoint Newton stalled")
     raise SolverError("endpoint Newton did not converge")
 

@@ -700,3 +700,30 @@ def test_polynomial_route_matches_the_generic_route(u):
     assert exact.series[2].size <= len(u.deriv_coeffs) < generic.series[2].size
     for name in ("support_lo", "support_hi", "energy", "pressure", "potential_moment"):
         assert abs(getattr(exact, name) - getattr(generic, name)) <= 1e-11, name
+
+
+@pytest.mark.parametrize("c", [0.25, 1.0, 4.0])
+def test_conjugate_of_quadratic_solves_on_the_exact_support(c):
+    # (c x^2 / 2)* = y^2 / (2c): the semicircle of variance c
+    res = solve_equilibrium(legendre_transform(quadratic(c)))
+    edge = 2.0 * np.sqrt(c)
+    assert abs(res.support_lo + edge) <= 1e-13 and abs(res.support_hi - edge) <= 1e-13
+
+
+def _power_pressure(a, p):
+    """pressure(a |x|^p) of the Freud equilibrium (Saff & Totik 1997,
+    section IV.5): 1/2 log 2 pi + 3/4 - log 2 - 3/(2p) + (1/p) log(2 gamma_p / a),
+    gamma_p = Gamma(p/2) Gamma(1/2) / (2 Gamma((p + 1)/2))."""
+    from math import lgamma
+
+    gamma_p = 0.5 * np.exp(lgamma(p / 2.0) + lgamma(0.5) - lgamma((p + 1.0) / 2.0))
+    return HALF_LOG_2PI + 0.75 - np.log(2.0) - 1.5 / p + np.log(2.0 * gamma_p / a) / p
+
+
+def test_conjugate_of_quartic_is_symmetric_and_hits_the_power_pressure():
+    # (x^4)* = a |y|^(4/3), a = 3/4 4^(-1/3); the cusp at 0 keeps the
+    # 4096-node solve 8.5e-9 low in pressure
+    assert abs(_power_pressure(0.5, 2.0) - HALF_LOG_2PI) <= 1e-15
+    res = solve_equilibrium(legendre_transform(quartic(1.0)))
+    assert abs(res.support_lo + res.support_hi) <= 1e-13
+    assert abs(res.pressure - _power_pressure(0.75 * 4.0 ** (-1.0 / 3.0), 4.0 / 3.0)) <= 1e-8

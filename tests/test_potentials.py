@@ -126,9 +126,66 @@ def test_moreau_yosida_of_abs_is_huber():
     assert abs(m.d(2.0) - 1.0) < 1e-6
 
 
+def _huber(lam):
+    return (lambda x: np.where(np.abs(x) <= lam, x * x / (2.0 * lam), np.abs(x) - lam / 2.0),
+            lambda x: np.clip(x / lam, -1.0, 1.0))
+
+
+def _closed_forms():
+    for g in (0.25, 1.0):  # (g x^4)* = a |y|^(4/3)
+        a = 0.75 * (4.0 * g) ** (-1.0 / 3.0)
+        yield pytest.param(lambda g=g: legendre_transform(quartic(g)),
+                           lambda y, a=a: a * np.abs(y) ** (4.0 / 3.0),
+                           lambda y, g=g: np.sign(y) * np.abs(y / (4.0 * g)) ** (1.0 / 3.0),
+                           id=f"legendre-quartic-{g:g}")
+    for c in (0.25, 1.0, 4.0):
+        yield pytest.param(lambda c=c: legendre_transform(quadratic(c)),
+                           lambda y, c=c: y * y / (2.0 * c), lambda y, c=c: y / c,
+                           id=f"legendre-quadratic-{c:g}")
+    for c, lam in ((0.25, 2.0), (1.0, 0.5), (4.0, 0.3)):
+        k = c / (1.0 + c * lam)
+        yield pytest.param(lambda c=c, lam=lam: moreau_yosida(quadratic(c), lam),
+                           lambda x, k=k: 0.5 * k * x * x, lambda x, k=k: k * x,
+                           id=f"my-quadratic-{c:g}-{lam:g}")
+    yield pytest.param(lambda: moreau_yosida(abs_potential(), 0.5), *_huber(0.5), id="my-abs-0.5")
+
+
+@pytest.mark.parametrize("make, value, deriv", _closed_forms())
+def test_conjugate_and_envelope_match_their_closed_forms(make, value, deriv):
+    # the polish solves the stationarity condition to rounding, so the
+    # envelope derivative is as exact as the value
+    f = make()
+    ts = np.concatenate([np.linspace(-3.0, 3.0, 61), [1e-3, -1e-7]])
+    assert np.max(np.abs(f.value(ts) - value(ts))) <= 1e-13
+    assert np.max(np.abs(f.d(ts) - deriv(ts))) <= 1e-13
+
+
 def test_moreau_yosida_rejects_bad_parameter():
+    for lam in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(InvalidInputError):
+            moreau_yosida(quadratic(1.0), lam)
+
+
+@pytest.mark.parametrize("factory, args", [
+    (quadratic, (np.inf,)),
+    (quadratic, (np.nan,)),
+    (quartic, (np.inf,)),
+    (polynomial_even, (np.nan, 0.25)),
+    (polynomial_even, (0.5, np.inf)),
+    (arcsine_indicator, (np.nan,)),
+    (arcsine_indicator, (np.inf,)),
+    (linear_halfline, (np.nan,)),
+    (linear_halfline, (np.inf,)),
+    (shift_potential, (quadratic(1.0), np.nan)),
+    (shift_potential, (quadratic(1.0), -np.inf)),
+    (tilt_linear, (quadratic(1.0), np.nan)),
+    (tilt_linear, (abs_potential(), np.inf)),
+])
+def test_factories_reject_non_finite_parameters(factory, args):
+    # solves of these raised bare LinAlgErrors or SolverErrors, or reported
+    # an infinite pressure
     with pytest.raises(InvalidInputError):
-        moreau_yosida(quadratic(1.0), 0.0)
+        factory(*args)
 
 
 def test_fenchel_young_gap_of_dual_pair_is_nonnegative():
