@@ -5,12 +5,14 @@ moments c_k = int T_k((x - m)/r) dmu come from its angle distribution
 function G(theta) = mu(x >= m + r cos theta) by parts:
 c_k = k int_0^pi sin(k theta) (G(theta) - theta/pi) dtheta.  The log
 energy and the Hilbert transform are both series in these moments, and the
-equilibrium solver's CDF is a sine series in its own; this leaf module
-holds the pieces they share, so that the modules reach them without
+equilibrium solver's CDF and density are series in its own; this leaf
+module holds the pieces they share, so that the modules reach them without
 importing each other.  A measure whose moments are known exactly carries
 them as its ``series`` (m, r, tau), tau_k = c_k; its log energy is then
-log(r/2) - 2 sum tau_k^2 / k, its moments are finite sums, and its quantile
-solves G(theta) = theta/pi + (2/pi) sum (tau_k / k) sin k theta = 1 - p.
+log(r/2) - 2 sum tau_k^2 / k, its moments are finite sums, its density in
+theta is G'(theta) = (1 + 2 sum tau_k cos k theta)/pi (`theta_density`),
+and its quantile solves
+G(theta) = theta/pi + (2/pi) sum (tau_k / k) sin k theta = 1 - p.
 The angle tables are built once and shared read-only.
 
 A table without a series is read in the angle: G at the read points is the
@@ -25,7 +27,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy.fft import dst
+from scipy.fft import dct, dst
 
 from ._grids import gauss_legendre_01, read_only
 
@@ -46,7 +48,7 @@ def angle(x, lo: float, hi: float) -> np.ndarray:
     nearer edge: 2 arcsin sqrt((hi - x) / 2r), or pi minus its mirror, keeps
     relative precision at both edges, where arccos((x - m) / r) does not."""
     right = x >= 0.5 * (lo + hi)
-    half = np.where(right, hi - x, x - lo) / (hi - lo)
+    half = np.asarray(np.where(right, hi - x, x - lo) / (hi - lo))
     np.arcsin(np.sqrt(np.clip(half, 0.0, 1.0, out=half), out=half), out=half)
     return np.where(right, 2.0 * half, np.pi - 2.0 * half)
 
@@ -138,30 +140,30 @@ def quantile_cos(tau: tuple, n: int) -> np.ndarray:
     return read_only(np.cos(solve_angle(np.array(tau), target, 2)))[0]
 
 
-def sine_tables(t: np.ndarray, kk: int) -> tuple[np.ndarray, ...]:
-    """sin(q B t), cos(q B t), cos(s t) and sin(s t) at the angles t, for
-    the blocks of `sine_sum` over kk modes: B = ceil(sqrt(kk + 1)), s < B."""
-    b = int(np.ceil(np.sqrt(kk + 1)))
-    st = np.outer(t, np.arange(b, dtype=float))
-    qt = np.outer(t, b * np.arange(-(-(kk + 1) // b), dtype=float))
-    return np.sin(qt), np.cos(qt), np.cos(st), np.sin(st)
-
-
-def sine_sum(coeff: np.ndarray, t: np.ndarray, tables=None, each: bool = False) -> np.ndarray:
-    """sum_{k >= 1} coeff[k - 1] sin(k t) at each angle t.
+def sine_sum(coeff: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """sum_{k >= 1} coeff[k - 1] sin(k t) at each angle t, each reduced on its own.
 
     With k = q B + s and B = ceil(sqrt(K + 1)), sin(k t) = sin(q B t)
     cos(s t) + cos(q B t) sin(s t), so the sum takes about 4 B sines and
-    cosines per angle and two matrix products against the B-wide rows of
-    coefficients, instead of a table of K sines per angle.  ``tables`` are
-    `sine_tables(t, coeff.size)`, passed in where t is a fixed grid.  With
-    ``each``, each angle is reduced on its own, independent of the batch.
+    cosines per angle and two products against the B-wide rows of
+    coefficients, instead of a table of K sines per angle.
     """
     kk = coeff.size
-    sin_q, cos_q, cos_s, sin_s = sine_tables(t, kk) if tables is None else tables
-    blocks = np.zeros((sin_q.shape[1], cos_s.shape[1]))
+    b = int(np.ceil(np.sqrt(kk + 1)))
+    st = np.outer(t, np.arange(b, dtype=float))
+    qt = np.outer(t, b * np.arange(-(-(kk + 1) // b), dtype=float))
+    blocks = np.zeros((qt.shape[1], b))
     blocks.flat[1:kk + 1] = coeff  # row q holds modes q B .. q B + B - 1
-    if each:
-        return np.array([sq @ (blocks @ cs) + cq @ (blocks @ ss)
-                         for sq, cq, cs, ss in zip(sin_q, cos_q, cos_s, sin_s)])
-    return np.sum(sin_q * (cos_s @ blocks.T) + cos_q * (sin_s @ blocks.T), axis=1)
+    return np.array([sq @ (blocks @ cs) + cq @ (blocks @ ss) for sq, cq, cs, ss
+                     in zip(np.sin(qt), np.cos(qt), np.cos(st), np.sin(st))])
+
+
+def theta_density(tau: np.ndarray, n: int) -> np.ndarray:
+    """G'(theta) = (1 + 2 sum tau_k cos k theta)/pi at the n `chebyshev_angles`,
+    one DCT-III.  A series of n or more terms is summed on an odd multiple of
+    the n angles, which holds them, so no mode aliases."""
+    odd = -(-(tau.size + 1) // n) | 1
+    x = np.zeros(odd * n)
+    x[0] = 1.0
+    x[1:tau.size + 1] = tau
+    return dct(x, type=3)[odd // 2::odd] / np.pi

@@ -28,6 +28,7 @@ from typing import Mapping
 
 import numpy as np
 
+from ._angle_series import theta_density
 from ._grids import DEFAULT_NODES, chebyshev_angles
 from .equilibrium import (
     EquilibriumResult,
@@ -414,12 +415,14 @@ def _inequality_record(report: InequalityReport, seed: int):
     return _payload(seed, fields), _SUMMARY_HEADER, [_summary_row(report)]
 
 
-def _density_table(mu: GridMeasure) -> list:
-    """``mu.density_at`` on 4096 Chebyshev nodes of the support, divided by
+def _density_table(res: EquilibriumResult) -> list:
+    """The solve's density at 4096 Chebyshev nodes m - r cos(theta_j) of its
+    support, G'(pi - theta_j) / (r sin theta_j) from its series, divided by
     its trapezoid mass and thinned to 1025 (x, density) rows."""
-    lo, hi = mu.support_lo, mu.support_hi
-    nodes = 0.5 * (lo + hi) - 0.5 * (hi - lo) * np.cos(chebyshev_angles(DEFAULT_NODES))
-    rho = mu.density_at(nodes)
+    m, r, tau = res.series
+    theta = chebyshev_angles(DEFAULT_NODES)
+    nodes = m - r * np.cos(theta)
+    rho = theta_density(tau, DEFAULT_NODES)[::-1] / (r * np.sin(theta))
     rho = rho / np.trapezoid(rho, nodes)
     idx = np.unique(np.linspace(0, nodes.size - 1, 1025).round().astype(int))
     return np.column_stack((nodes[idx], rho[idx])).tolist()
@@ -432,7 +435,7 @@ def _solve_fields(label: str, res: EquilibriumResult, *names) -> dict:
 
 
 def _equilibrium_record(res: EquilibriumResult, seed: int):
-    table = _density_table(res.measure)
+    table = _density_table(res)
     fields = _solve_fields(res.measure.label, res, "el_residual", "sd_residual", "energy",
                            "potential_moment", "iterations", "method", "converged")
     return _payload(seed, fields, density=table), ["x", "density"], table

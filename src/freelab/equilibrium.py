@@ -20,9 +20,11 @@ are computed on first read and cached.  The EL residual is
 `logpotential.euler_lagrange_residual` of that table: 2 pi H mu = u' at the
 table's probes, with H mu summed from the series the table carries.
 
-The fixed angle tables of a solve (cos and sin of the Chebyshev angles, the
-CDF table's splice grid and the trig tables of its sine sum) are built once
-and shared read-only.
+The quantile table is 1 - G on the 32769 uniform angles pi j / 32768, its
+interior rows one DST-I of tau_k / k; its edge rows are the support's
+endpoints.  The fixed angle tables of a solve (cos and sin of the Chebyshev
+angles, cos of the table's uniform angles) are built once and shared
+read-only.
 
 Convex polynomial potentials (``deriv_coeffs``, u' of degree d) solve on
 K Chebyshev angles, K the least power of two >= max(8, d + 3), where the
@@ -42,7 +44,7 @@ import numpy as np
 from scipy.fft import dct, dst
 from scipy.optimize import brentq
 
-from ._angle_series import series_energy, series_moment, sine_sum as _sine_sum, sine_tables, solve_angle
+from ._angle_series import series_energy, series_moment, solve_angle, theta_density
 from ._grids import DEFAULT_NODES, chebyshev_angles, read_only
 from .errors import InvalidInputError, MultiCutError, SolverError
 from .logpotential import (
@@ -170,28 +172,10 @@ def _edge_values(tau: np.ndarray):
     return left, right
 
 
-def _theta_density(tau: np.ndarray) -> np.ndarray:
-    """G'(theta) at the Chebyshev angles."""
-    x = tau.copy()
-    x[0] = 1.0
-    return dct(x, type=3) / np.pi
-
-
 @lru_cache(maxsize=1)
-def _splice_grid():
-    """Clustered angles for the CDF grid's outermost panels, which underresolve
-    a hard edge; the order sorting them into the grid; cos of the sorted angles."""
-    edge = 8.0 * np.pi / _CDF_GRID * (0.5 * (1.0 - np.cos(np.linspace(0.0, np.pi, 257))))
-    t_extra = np.concatenate([edge[1:-1], np.pi - edge[1:-1]])
-    theta = np.concatenate([np.linspace(0.0, np.pi, _CDF_GRID + 1), t_extra])
-    order = np.argsort(theta)
-    return read_only(t_extra, order, np.cos(theta[order]))
-
-
-@lru_cache(maxsize=4)
-def _splice_tables(kk: int):
-    """`sine_tables` of the splice angles for kk modes."""
-    return read_only(*sine_tables(_splice_grid()[0], kk))
+def _cdf_cos():
+    """cos of the CDF table's uniform angles pi j / _CDF_GRID, j = 0 .. _CDF_GRID."""
+    return read_only(np.cos(np.linspace(0.0, np.pi, _CDF_GRID + 1)))[0]
 
 
 def _cdf_table(m: float, r: float, tau: np.ndarray):
@@ -199,23 +183,10 @@ def _cdf_table(m: float, r: float, tau: np.ndarray):
     mm = _CDF_GRID
     coeff = np.zeros(mm - 1)
     kk = min(tau.size - 1, mm - 1)
-    ks = np.arange(1, kk + 1, dtype=float)
-    coeff[:kk] = tau[1:kk + 1] / ks
-    series = dst(coeff, type=1) / 2.0
-    j = np.arange(1, mm)
-    g = j / mm + (2.0 / np.pi) * series
-
-    t_extra, order, cos = _splice_grid()
-    g_extra = t_extra / np.pi + (2.0 / np.pi) * _sine_sum(coeff[:kk], t_extra, _splice_tables(kk))
-    g = np.concatenate([[0.0], g, [1.0], g_extra])[order]
-
-    g = np.maximum.accumulate(np.clip(g, 0.0, 1.0))
-    g[-1] = 1.0
-    xs = m + r * cos
-    ps = (1.0 - g)[::-1]
-    xs = xs[::-1]
-    ps = np.maximum.accumulate(ps)
-    ps[0], ps[-1] = 0.0, 1.0
+    coeff[:kk] = tau[1:kk + 1] / np.arange(1, kk + 1, dtype=float)
+    g = np.arange(1, mm) / mm + (2.0 / np.pi) * (dst(coeff, type=1) / 2.0)
+    g = np.maximum.accumulate(np.clip(np.concatenate([[0.0], g, [1.0]]), 0.0, 1.0))
+    ps, xs = (1.0 - g)[::-1], (m + r * _cdf_cos())[::-1]  # ps runs from 0 to 1
     # series wiggles near a kink can clip whole runs to 0 or 1; keep one
     # row per quantile so calls downstream see a strictly increasing table
     i0 = int(np.searchsorted(ps, 0.0, side="right")) - 1
@@ -315,13 +286,13 @@ def _bracket_root(fn, lo: float, hi: float, samples: int = 48):
 
 def _assemble(u, m, r, tau, method, iterations, cfg) -> EquilibriumResult:
     # tau lives on ``nodes`` angles, or on a polynomial solve's fewer, exact ones
-    dens = _theta_density(np.r_[tau, np.zeros(max(cfg.nodes - tau.size, 0))])
+    dens = theta_density(tau[1:], max(cfg.nodes, tau.size))
     if dens.min() < -_NEGATIVITY_SLACK * dens.max():
         raise MultiCutError(
             "equilibrium density is negative on the one-cut ansatz; "
             "the support is likely disconnected")
     if tau.size < cfg.nodes:
-        dens = _theta_density(tau)
+        dens = theta_density(tau[1:], tau.size)
         tau = np.trim_zeros(tau, "b")
     series = (float(m), float(r), read_only(tau[1:])[0])
     energy = series_energy(r, series[2])

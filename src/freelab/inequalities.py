@@ -352,8 +352,8 @@ def verify(kind: str, inputs: Mapping[str, object], tol: float = 1e-3,
     """
     if kind not in _KIND_IMPL:
         raise InvalidInputError(f"unknown inequality kind {kind!r}")
-    if tol < 0.0:
-        raise InvalidInputError("tolerance must be nonnegative")
+    if not 0.0 <= tol < np.inf:
+        raise InvalidInputError("tolerance must be nonnegative and finite")
     cfg = cfg or SolverSettings()
     start = time.perf_counter()
     lhs, rhs, extra, resolution = _KIND_IMPL[kind](inputs, cfg)

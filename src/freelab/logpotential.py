@@ -317,12 +317,11 @@ def relative_entropy_semicircular(mu: GridMeasure, cells: int = ENERGY_CELLS) ->
     return EnergyValue(0.5 * moment(mu, 2) - c.value + HALF_LOG_2PI, c.error_est)
 
 
-def hilbert_transform(mu: GridMeasure, t, cells: int = 4096):
+def hilbert_transform(mu: GridMeasure, t):
     """Hilbert transform (1/pi) PV int dmu(y) / (t - y), by the module's series.
 
     Accepts scalars or arrays.  Evaluation too close to a support endpoint
     raises :class:`SingularEvaluationError` before anything is computed.
-    ``cells`` is unused; it is kept so that existing calls still work.
     """
     flat = np.asarray(t, dtype=float).ravel()
     edge_tol = 1e-8 * (1.0 + mu.radius)
@@ -335,7 +334,7 @@ def hilbert_transform(mu: GridMeasure, t, cells: int = 4096):
     out = np.empty(flat.shape)
     inside = (mu.support_lo < flat) & (flat < mu.support_hi)
     phi = angle(flat[inside], m - r, m + r)
-    out[inside] = (-2.0 / (np.pi * r)) * sine_sum(c, phi, each=True) / np.sin(phi)
+    out[inside] = (-2.0 / (np.pi * r)) * sine_sum(c, phi) / np.sin(phi)
     d = flat[~inside] - m
     root = np.sign(d) * np.sqrt((np.abs(d) - r) * (np.abs(d) + r))
     out[~inside] = (1.0 + 2.0 * np.array([z ** ks @ c for z in r / (d + root)])) / (np.pi * root)

@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._angle_series import series_moment
+from ._angle_series import angle, series_moment
 from ._grids import QUANTILE_CELLS, cosine_graded, gauss_legendre_01, read_only
 from .errors import InvalidInputError
 
@@ -68,8 +68,15 @@ class GridMeasure:
         return np.interp(p, self.quantile_ps, self.quantile_xs)
 
     def cdf(self, x):
-        """Evaluate the distribution function; clamps outside the support."""
-        return np.interp(x, self.quantile_xs, self.quantile_ps, left=0.0, right=1.0)
+        """Evaluate the distribution function; clamps outside the support.
+
+        Linear between table rows in the support angle (`_angle_series.angle`),
+        in which a hard edge's square root is linear.
+        """
+        xs = self.quantile_xs
+        lo, hi = xs[0], xs[-1]
+        return np.interp(-angle(np.asarray(x, dtype=float), lo, hi), -angle(xs, lo, hi),
+                         self.quantile_ps)
 
     def density_at(self, x):
         """Density from the quantile table, zero outside the support.

@@ -155,6 +155,8 @@ def sample_eigenvalues(u: Potential, N: int, sweeps: int, seed: int = 0,
     master seed and are concatenated in chain order, which makes the output
     bit-reproducible regardless of scheduling.
     """
+    if not all(isinstance(v, (int, np.integer)) for v in (N, sweeps, chains)):
+        raise InvalidInputError("N, sweeps and chains must be integers")
     if N < 1 or N > MAX_PARTICLES:
         raise InvalidInputError(f"N must lie in [1, {MAX_PARTICLES}]")
     if sweeps < 1 or chains < 1:
@@ -294,7 +296,7 @@ def _potential_match(u: Potential, eq: EquilibriumResult, enforce: bool):
 def _pooled_ks(sets, mu: GridMeasure) -> float:
     pooled = np.sort(np.concatenate([np.asarray(s) for s in sets]))
     m = pooled.size
-    cdf = np.interp(pooled, mu.quantile_xs, mu.quantile_ps, left=0.0, right=1.0)
+    cdf = mu.cdf(pooled)
     hi = np.arange(1, m + 1) / m
     lo = np.arange(0, m) / m
     return float(np.max(np.maximum(np.abs(cdf - hi), np.abs(cdf - lo))))

@@ -263,6 +263,20 @@ def test_cli_equilibrium_density_table_is_the_semicircle(tmp_path):
         assert np.max(np.abs(rho - exact)) < 1e-6
 
 
+@pytest.mark.parametrize("spec, exact", [
+    ("arcsine:radius=2.5", lambda x: 1.0 / (np.pi * np.sqrt(6.25 - x * x))),
+    ("halfline:slope=1", lambda x: np.sqrt((4.0 - x) / x) / (2.0 * np.pi)),
+], ids=["flat-well", "halfline"])
+def test_cli_equilibrium_density_is_the_closed_form_at_hard_edges(tmp_path, spec, exact):
+    # the flat well's arcsine law and the halfline's Marchenko-Pastur law,
+    # from the solve's series, on every row up to the edge nodes
+    out = tmp_path / "eq.json"
+    assert main(["equilibrium", "--potential", spec, "--out", str(out)]) == 0
+    x, rho = np.array(json.loads(out.read_text())["density"]).T
+    assert x.size == 1025
+    assert np.max(np.abs(rho / exact(x) - 1.0)) <= 1e-6
+
+
 def test_cli_equilibrium_rejects_unmet_tolerance(capsys):
     # the quartic's conjugate has a cusp at 0; its residual, about 5.9e-4,
     # passes the default --tol of 1e-3 and fails 1e-9, so the exit code

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -445,11 +447,7 @@ def _tau_series(monkeypatch):
     """(name, m, r, tau) of five solves, one per edge configuration, read
     at the call of _cdf_table that the first read of ``measure`` makes.
     The soft case is the quartic without its coefficients, so it keeps the
-    generic solve's 4095 modes: the exact 4-term series puts the table's
-    first rows below the 1.1e-16 quantum of 1 - G, where rounding alone
-    picks the row kept at p = 0."""
-    from dataclasses import replace
-
+    generic solve's 4095 modes."""
     import freelab.equilibrium as eq_mod
 
     seen = []
@@ -474,10 +472,9 @@ def _tau_series(monkeypatch):
     return out
 
 
-def _splice_angles():
-    from freelab.equilibrium import _CDF_GRID
-
-    edge = 8.0 * np.pi / _CDF_GRID * (0.5 * (1.0 - np.cos(np.linspace(0.0, np.pi, 257))))
+def _edge_angles():
+    """Angles clustered within 8 pi / 32768 of both ends of [0, pi]."""
+    edge = 8.0 * np.pi / 32768 * (0.5 * (1.0 - np.cos(np.linspace(0.0, np.pi, 257))))
     return np.concatenate([edge[1:-1], np.pi - edge[1:-1]])
 
 
@@ -486,63 +483,54 @@ def _direct_sine_sum(coeff, t):
 
 
 def test_blocked_sine_sum_matches_the_sine_table(monkeypatch):
-    from freelab.equilibrium import _sine_sum
+    from freelab._angle_series import sine_sum
 
-    t = _splice_angles()
+    t = _edge_angles()
     for name, _, _, tau in _tau_series(monkeypatch):
         coeff = tau[1:] / np.arange(1, tau.size)
-        err = np.max(np.abs(_sine_sum(coeff, t) - _direct_sine_sum(coeff, t)))
+        err = np.max(np.abs(sine_sum(coeff, t) - _direct_sine_sum(coeff, t)))
         assert err <= 1e-16 * (1.0 + np.sum(np.abs(coeff))), name
     # partial last block, and fewer modes than one block
     rng = np.random.default_rng(3)
     for size in (1, 5, 63, 64, 65, 1000):
         coeff = rng.standard_normal(size) / np.arange(1, size + 1) ** 2
-        err = np.max(np.abs(_sine_sum(coeff, t) - _direct_sine_sum(coeff, t)))
+        err = np.max(np.abs(sine_sum(coeff, t) - _direct_sine_sum(coeff, t)))
         assert err <= 1e-15 * (1.0 + np.sum(np.abs(coeff))), size
 
 
-def test_cdf_table_matches_the_sine_table_splice(monkeypatch):
+def test_cdf_table_matches_direct_sine_sums(monkeypatch):
+    # 1 - G from the sine table at every angle pi j / 32768 within 256 rows
+    # of either end and at every 61st between; the kink's series dips near
+    # its edges, so G is the running maximum over those angles, as in the table
     import freelab.equilibrium as eq_mod
 
-    series = _tau_series(monkeypatch)
-    tables = [eq_mod._cdf_table(m, r, tau) for _, m, r, tau in series]
-
-    def direct(coeff, t, tables):
-        # the splice's cached trig tables for this mode count
-        assert tables is eq_mod._splice_tables(coeff.size)
-        assert np.array_equal(tables[3][:, 1], np.sin(t))
-        return _direct_sine_sum(coeff, t)
-
-    monkeypatch.setattr(eq_mod, "_sine_sum", direct)
-    for (name, m, r, tau), (ps, xs) in zip(series, tables):
-        ref_ps, ref_xs = eq_mod._cdf_table(m, r, tau)
-        assert ps.shape == ref_ps.shape, name
-        assert np.max(np.abs(ps - ref_ps)) <= 1e-15, name
-        assert np.max(np.abs(xs - ref_xs)) <= 1e-15, name
+    mm = eq_mod._CDF_GRID
+    j = np.r_[np.arange(1, 257), np.arange(257, mm - 256, 61), np.arange(mm - 256, mm)]
+    t = np.linspace(0.0, np.pi, mm + 1)[j]
+    for name, m, r, tau in _tau_series(monkeypatch):
+        coeff = tau[1:] / np.arange(1, tau.size)
+        g = t / np.pi + (2.0 / np.pi) * _direct_sine_sum(coeff, t)
+        ref = 1.0 - np.maximum.accumulate(np.clip(g, 0.0, 1.0))
+        ps, xs = eq_mod._cdf_table(m, r, tau)
+        x = m + r * np.cos(t)
+        i = np.minimum(np.searchsorted(xs, x), xs.size - 1)
+        kept = xs[i] == x  # a kink's table drops the rows where G does not rise
+        assert kept.sum() > j.size // 2 and ps[0] == 0.0 and ps[-1] == 1.0, name
+        assert np.max(np.abs(ps[i[kept]] - ref[kept])) <= 1e-15, name
 
 
-def _argsort_cdf_table(m, r, tau):
-    """_cdf_table with its splice grid, sort order and cosines built inline."""
+def _uniform_angle_table(m, r, tau):
+    """_cdf_table with its angles and cosines built inline."""
     from scipy.fft import dst
 
-    from freelab.equilibrium import _CDF_GRID, _sine_sum
-
-    mm = _CDF_GRID
+    mm = 32768
     coeff = np.zeros(mm - 1)
     kk = min(tau.size - 1, mm - 1)
     coeff[:kk] = tau[1:kk + 1] / np.arange(1, kk + 1, dtype=float)
     g = np.arange(1, mm) / mm + (2.0 / np.pi) * (dst(coeff, type=1) / 2.0)
-    t_extra = _splice_angles()
-    g_extra = t_extra / np.pi + (2.0 / np.pi) * _sine_sum(coeff[:kk], t_extra)
-    theta = np.concatenate([np.linspace(0.0, np.pi, mm + 1), t_extra])
-    g = np.concatenate([[0.0], g, [1.0], g_extra])
-    order = np.argsort(theta)
-    theta, g = theta[order], g[order]
-    g = np.maximum.accumulate(np.clip(g, 0.0, 1.0))
-    g[-1] = 1.0
-    ps = np.maximum.accumulate((1.0 - g)[::-1])
-    xs = (m + r * np.cos(theta))[::-1]
-    ps[0], ps[-1] = 0.0, 1.0
+    g = np.maximum.accumulate(np.clip(np.concatenate([[0.0], g, [1.0]]), 0.0, 1.0))
+    ps = 1.0 - g[::-1]
+    xs = m + r * np.cos(np.linspace(0.0, np.pi, mm + 1))[::-1]
     i0 = int(np.searchsorted(ps, 0.0, side="right")) - 1
     i1 = int(np.searchsorted(ps, 1.0, side="left"))
     ps, xs = ps[i0:i1 + 1], xs[i0:i1 + 1]
@@ -550,30 +538,65 @@ def _argsort_cdf_table(m, r, tau):
     return ps[keep], xs[keep]
 
 
-def test_cdf_table_on_the_shared_splice_grid_is_the_argsort_table(monkeypatch):
+def test_cdf_table_on_the_shared_angle_cosines_is_the_inline_table(monkeypatch):
     import freelab.equilibrium as eq_mod
 
     for name, m, r, tau in _tau_series(monkeypatch):
         ps, xs = eq_mod._cdf_table(m, r, tau)
-        ref_ps, ref_xs = _argsort_cdf_table(m, r, tau)
+        ref_ps, ref_xs = _uniform_angle_table(m, r, tau)
         assert np.array_equal(ps, ref_ps), name
         assert np.array_equal(xs, ref_xs), name
 
 
 def test_fixed_angle_tables_are_shared_and_read_only():
     from freelab._grids import chebyshev_angles
-    from freelab.equilibrium import _chebyshev_trig, _splice_grid
+    from freelab.equilibrium import _CDF_GRID, _cdf_cos, _chebyshev_trig
 
     for k in (64, 4096):
         cos, sin = _chebyshev_trig(k)
         assert np.array_equal(cos, np.cos(chebyshev_angles(k)))
         assert np.array_equal(sin, np.sin(chebyshev_angles(k)))
         assert _chebyshev_trig(k)[0] is cos
-    t_extra, order, cos = _splice_grid()
-    assert np.array_equal(t_extra, _splice_angles())
-    for table in (*_chebyshev_trig(4096), t_extra, order, cos):
+    cos = _cdf_cos()
+    assert np.array_equal(cos, np.cos(np.linspace(0.0, np.pi, _CDF_GRID + 1)))
+    assert _cdf_cos() is cos
+    for table in (*_chebyshev_trig(4096), cos):
         with pytest.raises(ValueError):
             table[0] = 0
+
+
+def test_theta_density_sums_series_of_any_length():
+    # a series as long as the angle count or longer (a report of a solve
+    # at more nodes) is summed whole, not aliased
+    from freelab._angle_series import theta_density
+    from freelab._grids import chebyshev_angles
+
+    rng = np.random.default_rng(5)
+    for size, n in ((10, 64), (63, 64), (64, 64), (200, 64), (700, 128)):
+        tau = rng.standard_normal(size) / np.arange(1, size + 1) ** 2
+        theta = chebyshev_angles(n)
+        direct = (1.0 + 2.0 * np.cos(np.outer(theta, np.arange(1, size + 1))) @ tau) / np.pi
+        assert np.max(np.abs(theta_density(tau, n) - direct)) <= 1e-14, (size, n)
+
+
+@pytest.mark.parametrize("u", [replace(quartic(0.25), deriv_coeffs=None), quadratic(1.0),
+                               linear_halfline(1.0), arcsine_indicator(2.5),
+                               legendre_transform(quadratic(2.0))], ids=lambda u: u.label)
+def test_edge_solves_keep_every_table_row_on_the_series_support(u):
+    # without a kink or cusp, no row of the uniform-angle table rounds to
+    # p = 0 or 1 early, so the table spans exactly the solved support
+    res = solve_equilibrium(u)
+    mu = res.measure
+    assert mu.quantile_ps.size == 32769
+    assert mu.support_lo == res.support_lo and mu.support_hi == res.support_hi
+
+
+def test_flat_well_cdf_is_the_arcsine_law_at_its_edges():
+    # a hard edge's square root is linear in the angle that cdf reads in
+    mu = solve_equilibrium(arcsine_indicator(1.0)).measure
+    near = np.array([0.0, 1e-16, 1e-15, 3e-15, 1e-14])
+    x = np.r_[-1.0 + near, np.linspace(-1.0, 1.0, 2001), 1.0 - near]
+    assert np.max(np.abs(mu.cdf(x) - np.arccos(-x) / np.pi)) <= 1e-12
 
 
 def _count_cdf_tables(monkeypatch):
@@ -615,7 +638,7 @@ def test_a_solve_builds_its_table_once_on_first_read(monkeypatch):
     assert (m, r) == res.series[:2] and np.array_equal(tau[1:], res.series[2])
     assert mu.series is res.series and mu.label == "equilibrium(quartic(g=0.25))"
     # the table the solver built before it kept its series
-    ps, xs = _argsort_cdf_table(m, r, tau)
+    ps, xs = _uniform_angle_table(m, r, tau)
     assert np.array_equal(mu.quantile_ps, ps) and np.array_equal(mu.quantile_xs, xs)
 
 

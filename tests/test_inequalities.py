@@ -35,8 +35,9 @@ def test_kind_registry_is_complete():
 def test_unknown_kind_and_bad_tolerance_rejected():
     with pytest.raises(InvalidInputError):
         verify("FREE_TALAGRAND_2D", {"mu": SIGMA})
-    with pytest.raises(InvalidInputError):
-        verify("SSFTI", {"mu": SIGMA, "nu": SIGMA}, tol=-1e-3)
+    for tol in (-1e-3, np.nan, np.inf):
+        with pytest.raises(InvalidInputError):
+            verify("SSFTI", {"mu": SIGMA, "nu": SIGMA}, tol=tol)
 
 
 def test_report_consistency_is_enforced():

@@ -44,6 +44,14 @@ def test_semicircle_quantile_cdf_roundtrip():
         assert abs(sig.cdf(sig.quantile(p)) - p) < 1e-6
 
 
+def test_arcsine_cdf_closed_form_at_its_edges():
+    # the table's rows are linear in the support angle, which cdf reads in
+    arc = make_arcsine(1.0)
+    near = np.array([0.0, 1e-16, 1e-15, 3e-15, 1e-14])
+    x = np.r_[-1.0 + near, np.linspace(-1.0, 1.0, 2001), 1.0 - near]
+    assert np.max(np.abs(arc.cdf(x) - np.arccos(-x) / np.pi)) <= 1e-10
+
+
 def test_arcsine_quantiles_closed_form():
     arc = make_arcsine(2.0, center=1.0)
     # exact at the table knots, interpolation error off them

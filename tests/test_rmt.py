@@ -241,6 +241,9 @@ def test_mismatched_equilibrium_is_refused_then_detected():
 
 
 def test_sample_and_series_validation():
+    for n, sweeps, chains in ((2.5, 10, 1), (4, 2.5, 1), (4, 10, 1.5)):
+        with pytest.raises(InvalidInputError):
+            sample_eigenvalues(quadratic(1.0), N=n, sweeps=sweeps, chains=chains)
     with pytest.raises(InvalidInputError):
         EnsembleSample(N=2, potential=quadratic(1.0), chains=1,
                        eigenvalue_sets=(np.array([1.0, 0.0]),),
