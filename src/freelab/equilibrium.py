@@ -42,7 +42,6 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.fft import dct, dst
-from scipy.optimize import brentq
 
 from ._angle_series import series_energy, series_moment, solve_angle, theta_density
 from ._grids import DEFAULT_NODES, chebyshev_angles, read_only
@@ -140,17 +139,21 @@ def _chebyshev_trig(k: int):
 
 def _soft_moments(f: np.ndarray, r: float | None = None):
     """Soft-edge tau from u' = f at the Chebyshev angles of a support of half-width
-    r (None: 4 / c_1), both endpoint residuals, and f's Chebyshev c (c_0 = 0)."""
+    r (None: 4 / c_1), and f's Chebyshev c (c_0 = 0)."""
     k = f.size
-    y = dct(f, type=2)
-    c = y / k
+    c = dct(f, type=2) / k
     c[0] = 0.0  # the constant mode never enters the density
     r = 4.0 / c[1] if r is None else r
-    res1 = y[0] / (2.0 * k)           # mean of u' against the angle grid
-    res2 = c[1] - 4.0 / r
     tau = np.zeros(k)
     tau[1:k - 1] = (r / 8.0) * (c[2:] - c[:k - 2])
-    return tau, res1, res2, c
+    return tau, c
+
+
+def _soft_residuals(f: np.ndarray, cos: np.ndarray, r: float) -> np.ndarray:
+    """Both soft-edge endpoint residuals of u' = f at the Chebyshev angles
+    with cosines ``cos``: the mean of f, and c_1 - 4 / r, c_1 = (2 / k) f . cos
+    being the one Chebyshev coefficient of f they need."""
+    return np.array([np.mean(f), (2.0 / f.size) * (f @ cos) - 4.0 / r])
 
 
 def _tau_wall(u: Potential, m: float, r: float, cos: np.ndarray, sin: np.ndarray):
@@ -238,8 +241,7 @@ def _newton_soft(u: Potential, cos: np.ndarray, cfg: SolverSettings, seed):
     def residual(mv, rv):
         if rv <= 0 or mv - rv <= u.domain_lo or mv + rv >= u.domain_hi:
             return None
-        _, r1, r2, _ = _soft_moments(u.d(mv + rv * cos), rv)
-        return np.array([r1, r2])
+        return _soft_residuals(u.d(mv + rv * cos), cos, rv)
 
     res = residual(m, r)
     if res is None:
@@ -276,6 +278,8 @@ def _newton_soft(u: Potential, cos: np.ndarray, cfg: SolverSettings, seed):
 
 
 def _bracket_root(fn, lo: float, hi: float, samples: int = 48):
+    from scipy.optimize import brentq  # only walled solves load scipy.optimize
+
     ts = np.linspace(lo, hi, samples)
     vals = [fn(t) for t in ts]
     for a, b, va, vb in zip(ts[:-1], ts[1:], vals[:-1], vals[1:]):
@@ -436,8 +440,8 @@ def moment_map(mu: GridMeasure, cfg: SolverSettings | None = None):
     tau = np.r_[0.0, 0.0, -0.5, np.zeros(_MAP_MODES - 2)]  # the semicircle's
     for it in range(1, cfg.max_iter + 1):
         pi_g = theta + dst(tau[1:] / ks, type=3, n=cfg.nodes)  # pi G_tau = pi (1 - F_nu)
-        new, _, _, c = _soft_moments(mu.quantile(1.0 - pi_g / np.pi) if series is None else
-                                     series[0] + series[1] * np.cos(solve_angle(series[2], pi_g, 8)))
+        new, c = _soft_moments(mu.quantile(1.0 - pi_g / np.pi) if series is None else
+                               series[0] + series[1] * np.cos(solve_angle(series[2], pi_g, 8)))
         step, tau = np.max(np.abs(new[:_MAP_MODES + 1] - tau)), new[:_MAP_MODES + 1]
         if step < cfg.tol:
             break
@@ -472,6 +476,8 @@ def find_centering_shift(f: Potential, search_box=(-8.0, 8.0),
         val = series_moment(solve_equilibrium(tilt_linear(f, lam), cfg).series, 1)
         curve.append((float(lam), float(val)))
         return val
+
+    from scipy.optimize import brentq
 
     lo, hi = float(search_box[0]), float(search_box[1])
     ts = np.linspace(lo, hi, 9)

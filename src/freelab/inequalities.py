@@ -179,8 +179,8 @@ def _inverse_free_lsi(inputs, cfg):
     res = solve_equilibrium(u, cfg)
     lhs = (HALF_LOG_2PI + 0.5) - _entropy(res)
     jac = float(log_jacobian(res, u))
-    # flat stretches of u' push mass onto atoms: the image energy diverges
-    # to -inf and the quadrature reports nan; the bound then holds trivially
+    # flat stretches of u' push mass onto atoms: the log-Jacobian diverges
+    # to -inf and log_jacobian reports nan; the bound then holds trivially
     rhs = 0.5 * jac if np.isfinite(jac) else -np.inf
     return lhs, rhs, {}, cfg.nodes
 

@@ -54,7 +54,11 @@ theta), by Gauss-Legendre on pieces split where u'' = 0 on the support, the
 only places a root meets it; the moments stop once sum_{j > k} 2|c_j|/j is
 below 1e-10, from the carried series where there is one.  Tables that need
 more moments than the rule resolves, and other potentials, take the
-log-energy gain of pushing mu forward through u'.
+log-energy gain of pushing mu forward through u'.  Before either route,
+u' is read where its monotonicity is checked (the solver's Chebyshev nodes
+or the table rows); two equal adjacent reads with mass between them mean
+u' is flat on a set of positive mass, so u'#mu has an atom and the
+log-Jacobian is -inf, reported as nan like the quadrature's atoms.
 
 The Hilbert transform H mu(t) = (1/pi) PV int dmu(y) / (t - y) is the series
 (m, r, c) of `series_of` differentiated: -(2/(pi r)) sum_k c_k sin(k phi) /
@@ -399,11 +403,23 @@ def log_jacobian(mu, u: Potential, cells: int = ENERGY_CELLS) -> EnergyValue:
     ``mu`` is a measure, or a solve (`EquilibriumResult`), whose table is
     then built only for the pushforward route.  u' is checked at the table
     rows, or at the solver's Chebyshev nodes where mu carries a series.
+    Where two adjacent checks read the same u' with mass between them, u'
+    is flat on a set of positive mass and the value is nan at once, as the
+    quadrature would report it: no table, pushforward or energy is built.
     """
     s = mu.series
-    slopes = u.d(mu.quantile_xs if s is None else s[0] - s[1] * np.cos(chebyshev_angles()))
+    xs = mu.quantile_xs if s is None else s[0] - s[1] * np.cos(chebyshev_angles())
+    slopes = u.d(xs)
     if np.any(np.diff(slopes) < -1e-10 * (1.0 + np.max(np.abs(slopes)))):
         raise InvalidInputError("log_jacobian needs u' increasing on the support")
+    # u' equal at two distinct points with mass between them is flat there:
+    # u'#mu has an atom, and the divided difference vanishes on a set of
+    # positive mass.  Every pair of solver nodes lies inside the support.
+    flat = (slopes[1:] == slopes[:-1]) & (xs[1:] > xs[:-1])
+    if s is None:
+        flat &= mu.quantile_ps[1:] > mu.quantile_ps[:-1]
+    if np.any(flat):
+        return EnergyValue(np.nan, np.nan)
     if u.deriv_coeffs is not None:
         exact = _root_jacobian(series_of(mu), u.deriv_coeffs)
         if exact is not None:

@@ -8,15 +8,17 @@ the density, where one is wanted, is the table's derivative
 
 Working in quantile coordinates keeps the numerics uniformly accurate at
 square-root and logarithmic edges, where the density itself blows up or
-vanishes and naive grid quadrature loses digits.  The semicircle and
-Marchenko-Pastur tables scale angle tables built once and shared read-only.
+vanishes and naive grid quadrature loses digits.  The semicircle, arcsine
+and Marchenko-Pastur tables scale cosine tables built once and shared
+read-only; `cdf` takes the support angles of a measure's table rows once,
+on first use.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -74,9 +76,15 @@ class GridMeasure:
         in which a hard edge's square root is linear.
         """
         xs = self.quantile_xs
-        lo, hi = xs[0], xs[-1]
-        return np.interp(-angle(np.asarray(x, dtype=float), lo, hi), -angle(xs, lo, hi),
+        return np.interp(-angle(np.asarray(x, dtype=float), xs[0], xs[-1]), self._row_angles,
                          self.quantile_ps)
+
+    @cached_property
+    def _row_angles(self) -> np.ndarray:
+        """Minus the support angle of each table row, ascending; computed on
+        first `cdf` and cached on the instance."""
+        xs = self.quantile_xs
+        return read_only(-angle(xs, xs[0], xs[-1]))[0]
 
     def density_at(self, x):
         """Density from the quantile table, zero outside the support.
@@ -155,6 +163,12 @@ def _semicircle_cos(shifted: bool) -> np.ndarray:
     return read_only(np.cos(_semicircle_theta_of_p(0.5 * (1.0 + ps) if shifted else ps)))[0]
 
 
+@lru_cache(maxsize=1)
+def _arcsine_cos() -> np.ndarray:
+    """cos(pi p) at the grid's ps: the arcsine law's quantile angle is pi p."""
+    return read_only(np.cos(np.pi * cosine_graded(QUANTILE_CELLS)))[0]
+
+
 def make_semicircular(mean: float = 0.0, variance: float = 1.0) -> GridMeasure:
     """Semicircular law with the given mean and variance.
 
@@ -175,7 +189,7 @@ def make_arcsine(radius: float = 1.0, center: float = 0.0) -> GridMeasure:
     if radius <= 0:
         raise InvalidInputError("radius must be positive")
     ps = cosine_graded(QUANTILE_CELLS)
-    xs = center - radius * np.cos(np.pi * ps)  # exact quantile function
+    xs = center - radius * _arcsine_cos()  # exact quantile function
     return GridMeasure(float(xs[0]), float(xs[-1]), ps, xs,
                        f"arcsine(radius={radius:g},center={center:g})",
                        (float(center), float(radius), _NO_TAU))

@@ -663,3 +663,32 @@ assert "scipy.interpolate" not in sys.modules
     proc = subprocess.run([sys.executable, "-c", script], env=env, cwd=str(tmp_path),
                           stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_import_leaves_scipy_optimize_unloaded_until_a_walled_solve(tmp_path):
+    # only the walled solves bracket a root; the soft solves, and importing
+    # the package and its CLI, need no scipy.optimize
+    import subprocess
+    import sys
+
+    from freelab.equilibrium import solve_equilibrium
+    from freelab.potentials import linear_halfline
+
+    root = os.path.join(os.path.dirname(__file__), os.pardir)
+    env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+    script = """
+import sys
+import freelab, freelab.cli
+assert "scipy.optimize" not in sys.modules
+assert freelab.cli.main(["verify", "inverse_free_lsi", "--f", "abs"]) == 0
+assert "scipy.optimize" not in sys.modules
+res = freelab.solve_equilibrium(freelab.linear_halfline(1.0))
+assert "scipy.optimize" in sys.modules
+print(repr(res.support_lo), repr(res.support_hi), res.method)
+"""
+    proc = subprocess.run([sys.executable, "-c", script], env=env, cwd=str(tmp_path),
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    assert proc.returncode == 0, proc.stderr
+    res = solve_equilibrium(linear_halfline(1.0))
+    last = proc.stdout.splitlines()[-1].split()
+    assert last == [repr(res.support_lo), repr(res.support_hi), "wall-left"]

@@ -750,3 +750,28 @@ def test_conjugate_of_quartic_is_symmetric_and_hits_the_power_pressure():
     res = solve_equilibrium(legendre_transform(quartic(1.0)))
     assert abs(res.support_lo + res.support_hi) <= 1e-13
     assert abs(res.pressure - _power_pressure(0.75 * 4.0 ** (-1.0 / 3.0), 4.0 / 3.0)) <= 1e-8
+
+
+@pytest.mark.parametrize("u", [quadratic(0.25), quadratic(4.0), quartic(0.25), quartic(1.0),
+                               polynomial_even(0.5, 0.125), abs_potential(),
+                               shift_potential(quartic(1.0), 0.5),
+                               legendre_transform(quartic(1.0)),
+                               legendre_transform(polynomial_even(0.5, 0.125))],
+                         ids=lambda u: u.label)
+def test_newton_residuals_are_the_dct_residuals(u):
+    # the endpoint Newton reads only y_0 and y_1 of the DCT-II of u' at the
+    # Chebyshev angles: the mean of u' and c_1 - 4 / r
+    from scipy.fft import dct
+
+    import freelab.equilibrium as eq_mod
+
+    res = solve_equilibrium(u)
+    m, r = res.series[:2]
+    a = u.deriv_coeffs
+    k = SolverSettings().nodes if a is None else max(8, 1 << (len(a) + 1).bit_length())
+    cos = eq_mod._chebyshev_trig(k)[0]
+    for mv, rv in ((m, r), (m + 0.1, 1.1 * r), (m - 0.05, 0.9 * r)):
+        f = u.d(mv + rv * cos)
+        y = dct(f, type=2)
+        want = np.array([y[0] / (2.0 * k), y[1] / k - 4.0 / rv])
+        assert np.max(np.abs(eq_mod._soft_residuals(f, cos, rv) - want)) <= 1e-14, (mv, rv)

@@ -171,6 +171,15 @@ def test_inverse_lsi_flat_derivative_gives_sentinel_report():
     assert r.inputs["sentinel"] == "non-finite side"
 
 
+def test_inverse_lsi_on_a_flat_well_gives_sentinel_report():
+    # u' = 0 inside the well sends the whole arcsine law to one atom; the
+    # pushforward of that used to raise on its zero-width support
+    r = verify("INVERSE_FREE_LSI", {"f": arcsine_indicator(2.5)})
+    assert r.rhs == -np.inf
+    assert r.passed
+    assert r.inputs["sentinel"] == "non-finite side"
+
+
 # ------------------------------------------------------------------ santalo
 
 def test_santalo_equality_for_quadratic_pair():

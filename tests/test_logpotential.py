@@ -21,6 +21,7 @@ from freelab.logpotential import (
     schwinger_dyson_residual,
 )
 from freelab.measures import (
+    from_quantile_table,
     make_arcsine,
     make_marchenko_pastur_family,
     make_semicircular,
@@ -28,6 +29,7 @@ from freelab.measures import (
     translate,
 )
 from freelab.potentials import (
+    Potential,
     abs_potential,
     arcsine_indicator,
     linear_halfline,
@@ -407,11 +409,49 @@ def test_inverse_free_lsi_reaches_the_quadrature_only_without_slope_coefficients
     for u in (quadratic(2.0), quartic(0.25), polynomial_even(0.5, 0.125)):
         assert np.isfinite(verify("INVERSE_FREE_LSI", {"f": u}).rhs), u.label
     assert calls == []
-    # abs has no slope coefficients: one quadrature pass finds the atoms of
-    # its u'-pushforward, jac is nan, and the bound holds trivially
+    # abs has no slope coefficients, but u' = sign(x) is flat on the support:
+    # jac is nan before any quadrature, and the bound holds trivially
     report = verify("INVERSE_FREE_LSI", {"f": abs_potential()})
-    assert calls == [ENERGY_CELLS]
+    assert calls == []
     assert report.rhs == -np.inf
+
+
+def test_log_jacobian_of_a_flat_slope_builds_no_table_or_pushforward(monkeypatch):
+    import freelab.logpotential as lp_mod
+    from freelab.equilibrium import solve_equilibrium
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("pushforward built for a flat u'")
+
+    monkeypatch.setattr(lp_mod, "pushforward_monotone", refuse)
+    u = abs_potential()
+    res = solve_equilibrium(u)
+    jac = log_jacobian(res, u)
+    assert np.isnan(jac.value) and np.isnan(jac.error_est)
+    assert "measure" not in res.__dict__
+    # a series-less table reads u' at its rows, and finds the same flat run
+    table = from_quantile_table(res.measure.quantile_ps, res.measure.quantile_xs)
+    assert table.series is None
+    jac = log_jacobian(table, u)
+    assert np.isnan(jac.value) and np.isnan(jac.error_est)
+
+
+def test_log_jacobian_of_a_slope_flat_only_across_a_gap_stays_finite():
+    # uniform halves on [-2, -1] and [1, 2]: the rows at p = 1/2 jump the gap
+    # with no mass between them, and u' is flat only there, so u'#mu is the
+    # uniform law on [-1, 1] and the log-Jacobian is finite
+    half = np.linspace(0.0, 1.0, 2049)
+    ps = np.r_[0.5 * half, 0.5 + 0.5 * half]
+    xs = np.r_[-2.0 + half, 1.0 + half]
+    mu = from_quantile_table(ps, xs, label="gap")
+    u = Potential(lambda x: 0.5 * np.maximum(np.abs(x) - 1.0, 0.0) ** 2,
+                  lambda x: np.sign(x) * np.maximum(np.abs(x) - 1.0, 0.0),
+                  -np.inf, np.inf, True, True, "gap-flat")
+    assert u.d(xs[2048]) == u.d(xs[2049]) == 0.0
+    jac = log_jacobian(mu, u)
+    # E(uniform[-1, 1]) = log 2 - 3/2; the gap law's E is the quadrature's
+    assert np.isfinite(jac.value) and np.isfinite(jac.error_est)
+    assert abs(jac.value - (np.log(2.0) - 1.5 - log_energy(mu).value)) <= 1e-6
 
 
 def test_log_jacobian_is_carried_through_tilt_and_shift():

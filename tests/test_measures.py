@@ -44,6 +44,32 @@ def test_semicircle_quantile_cdf_roundtrip():
         assert abs(sig.cdf(sig.quantile(p)) - p) < 1e-6
 
 
+def test_cdf_reads_row_angles_taken_once_per_measure():
+    # the same bytes as taking the angle of every row at every call
+    from freelab._angle_series import angle
+
+    rng = np.random.default_rng(3)
+    for mu in (make_semicircular(0.3, 2.0), make_arcsine(2.0, center=1.0),
+               make_marchenko_pastur_family(1.5),
+               from_quantile_table(np.linspace(0.0, 1.0, 5), [-1.0, -0.5, 0.5, 0.5, 2.0])):
+        xs, ps = mu.quantile_xs, mu.quantile_ps
+        lo, hi = xs[0], xs[-1]
+        x = np.r_[rng.uniform(lo - 0.5, hi + 0.5, 999), lo, hi, xs[1:-1:97]]
+        want = np.interp(-angle(x, lo, hi), -angle(xs, lo, hi), ps)
+        assert "_row_angles" not in mu.__dict__
+        assert np.array_equal(mu.cdf(x), want), mu.label
+        rows = mu.__dict__["_row_angles"]
+        assert np.array_equal(mu.cdf(x), want) and mu._row_angles is rows
+        assert mu.cdf(0.5 * (lo + hi)) == np.interp(-angle(0.5 * (lo + hi), lo, hi),
+                                                    -angle(xs, lo, hi), ps)
+        with pytest.raises(ValueError):
+            rows[0] = 0.0
+    # a translated copy takes its own angles
+    sig = make_semicircular()
+    sig.cdf(0.0)
+    assert "_row_angles" not in translate(sig, 1.0).__dict__
+
+
 def test_arcsine_cdf_closed_form_at_its_edges():
     # the table's rows are linear in the support angle, which cdf reads in
     arc = make_arcsine(1.0)
@@ -159,7 +185,7 @@ def test_closed_form_tables_are_the_direct_angle_formula():
     # the shared angle tables give the same bytes as solving for the angle
     # at every build, and cannot be written through
     from freelab._grids import QUANTILE_CELLS, cosine_graded
-    from freelab.measures import _semicircle_cos, _semicircle_theta_of_p
+    from freelab.measures import _arcsine_cos, _semicircle_cos, _semicircle_theta_of_p
 
     ps = cosine_graded(QUANTILE_CELLS)
     theta = _semicircle_theta_of_p(ps)
@@ -170,7 +196,11 @@ def test_closed_form_tables_are_the_direct_angle_formula():
     for scale in (1.0, 0.37, 4.0):
         want = np.maximum.accumulate((2.0 * np.sqrt(scale) * np.cos(shifted)) ** 2)
         assert np.array_equal(make_marchenko_pastur_family(scale).quantile_xs, want)
-    for table in (_semicircle_cos(False), _semicircle_cos(True)):
+    for radius, center in ((1.0, 0.0), (2.0, 0.5), (0.37, -1e-3), (1e3, 7.0)):
+        want = center - radius * np.cos(np.pi * ps)
+        assert np.array_equal(make_arcsine(radius, center).quantile_xs, want)
+    assert _arcsine_cos() is _arcsine_cos()
+    for table in (_semicircle_cos(False), _semicircle_cos(True), _arcsine_cos()):
         with pytest.raises(ValueError):
             table[0] = 0.0
 
