@@ -83,8 +83,6 @@ _COMMANDS = (
     "rmt-converge",
 )
 
-_MANIFEST_ROLES = ("mu", "nu", "f", "g", "u3", "theta")
-
 
 # ---------------------------------------------------------------------------
 # spec mini-language
@@ -163,7 +161,7 @@ def _num_arg(args: dict, key: str, default=None) -> float:
     return val
 
 
-def _node_arg(args: dict, key: str = "of"):
+def _node_arg(args: dict, key: str):
     if key not in args:
         raise InvalidInputError(f"missing required key {key!r}")
     val = args.pop(key)
@@ -172,97 +170,57 @@ def _node_arg(args: dict, key: str = "of"):
     return val
 
 
-def _no_leftovers(head: str, args: dict):
-    if args:
-        raise InvalidInputError(f"{head!r} does not take keys {sorted(args)}")
+# A spec table maps each head to the name of its factory in this module and
+# the factory's arguments in call order, as (key, default) pairs: a default of
+# None marks a required number, _SPEC a required nested spec of the same table.
+# The factory is looked up by name at call time so that wrappers installed on
+# this module's attributes (perfbench's traced runs) see every build.
+_SPEC = object()
+
+_MEASURE_SPECS = {
+    "semicircle": ("make_semicircular", (("mean", 0.0), ("var", 1.0))),
+    "arcsine": ("make_arcsine", (("radius", 1.0), ("center", 0.0))),
+    "mp": ("make_marchenko_pastur_family", (("scale", 1.0),)),
+    "translate": ("translate", (("of", _SPEC), ("a", None))),
+}
+
+_POTENTIAL_SPECS = {
+    "quadratic": ("quadratic", (("c", 1.0),)),
+    "quartic": ("quartic", (("g", 0.25),)),
+    "poly": ("polynomial_even", (("c2", None), ("c4", None))),
+    "abs": ("abs_potential", ()),
+    "arcsine": ("arcsine_indicator", (("radius", 1.0),)),
+    "halfline": ("linear_halfline", (("slope", 1.0),)),
+    "shift": ("shift_potential", (("of", _SPEC), ("z", None))),
+    "tilt": ("tilt_linear", (("of", _SPEC), ("lam", None))),
+    "legendre": ("legendre_transform", (("of", _SPEC),)),
+}
 
 
-def _build_measure(node) -> GridMeasure:
+def _build(node, table: Mapping):
     head, args = node
     args = dict(args)
-    if head == "semicircle":
-        mean = _num_arg(args, "mean", 0.0)
-        var = _num_arg(args, "var", 1.0)
-        _no_leftovers(head, args)
-        return make_semicircular(mean, var)
-    if head == "arcsine":
-        radius = _num_arg(args, "radius", 1.0)
-        center = _num_arg(args, "center", 0.0)
-        _no_leftovers(head, args)
-        return make_arcsine(radius, center)
-    if head == "mp":
-        scale = _num_arg(args, "scale", 1.0)
-        _no_leftovers(head, args)
-        return make_marchenko_pastur_family(scale)
-    if head == "translate":
-        base = _build_measure(_node_arg(args))
-        a = _num_arg(args, "a")
-        _no_leftovers(head, args)
-        return translate(base, a)
-    raise InvalidInputError(f"unknown measure {head!r}")
-
-
-_MEASURE_HEADS = frozenset({"semicircle", "arcsine", "mp", "translate"})
+    factory, keys = table[head]
+    values = [_build(_node_arg(args, key), table) if default is _SPEC
+              else _num_arg(args, key, default) for key, default in keys]
+    if args:
+        raise InvalidInputError(f"{head!r} does not take keys {sorted(args)}")
+    return globals()[factory](*values)
 
 
 def parse_measure(text: str) -> GridMeasure:
     """Measure from a spec string, e.g. ``semicircle:mean=0,var=1``."""
-    return _build_measure(_parse_spec(text, _MEASURE_HEADS, "measure"))
-
-
-def _build_potential(node) -> Potential:
-    head, args = node
-    args = dict(args)
-    if head == "quadratic":
-        c = _num_arg(args, "c", 1.0)
-        _no_leftovers(head, args)
-        return quadratic(c)
-    if head == "quartic":
-        g = _num_arg(args, "g", 0.25)
-        _no_leftovers(head, args)
-        return quartic(g)
-    if head == "poly":
-        c2 = _num_arg(args, "c2")
-        c4 = _num_arg(args, "c4")
-        _no_leftovers(head, args)
-        return polynomial_even(c2, c4)
-    if head == "abs":
-        _no_leftovers(head, args)
-        return abs_potential()
-    if head == "arcsine":
-        radius = _num_arg(args, "radius", 1.0)
-        _no_leftovers(head, args)
-        return arcsine_indicator(radius)
-    if head == "halfline":
-        slope = _num_arg(args, "slope", 1.0)
-        _no_leftovers(head, args)
-        return linear_halfline(slope)
-    if head == "shift":
-        base = _build_potential(_node_arg(args))
-        z = _num_arg(args, "z")
-        _no_leftovers(head, args)
-        return shift_potential(base, z)
-    if head == "tilt":
-        base = _build_potential(_node_arg(args))
-        lam = _num_arg(args, "lam")
-        _no_leftovers(head, args)
-        return tilt_linear(base, lam)
-    if head == "legendre":
-        base = _build_potential(_node_arg(args))
-        _no_leftovers(head, args)
-        return legendre_transform(base)
-    raise InvalidInputError(f"unknown potential {head!r}")
-
-
-_POTENTIAL_HEADS = frozenset({
-    "quadratic", "quartic", "poly", "abs", "arcsine", "halfline",
-    "shift", "tilt", "legendre",
-})
+    return _build(_parse_spec(text, _MEASURE_SPECS, "measure"), _MEASURE_SPECS)
 
 
 def parse_potential(text: str) -> Potential:
     """Potential from a spec string, e.g. ``quartic:g=0.25``."""
-    return _build_potential(_parse_spec(text, _POTENTIAL_HEADS, "potential"))
+    return _build(_parse_spec(text, _POTENTIAL_SPECS, "potential"), _POTENTIAL_SPECS)
+
+
+# verify input roles, as --role options and manifest fields, with their parsers
+_ROLES = {"mu": parse_measure, "nu": parse_measure, "f": parse_potential,
+          "g": parse_potential, "u3": parse_potential, "theta": float}
 
 
 # ---------------------------------------------------------------------------
@@ -559,15 +517,10 @@ def _canonical_kind(raw: str) -> str:
 def _verify_inputs(fields: Mapping[str, str]) -> dict:
     inputs: dict = {}
     for role, spec in fields.items():
-        if role in ("mu", "nu"):
-            inputs[role] = parse_measure(spec)
-        elif role in ("f", "g", "u3"):
-            inputs[role] = parse_potential(spec)
-        elif role == "theta":
-            inputs[role] = float(spec)
-        else:
+        if role not in _ROLES:
             raise InvalidInputError(f"unknown input role {role!r} "
-                                    f"(expected one of {', '.join(_MANIFEST_ROLES)})")
+                                    f"(expected one of {', '.join(_ROLES)})")
+        inputs[role] = _ROLES[role](spec)
     return inputs
 
 
@@ -579,10 +532,8 @@ def _report_line(report: InequalityReport) -> str:
 
 def _cmd_verify(config: RunConfig) -> int:
     kind = _canonical_kind(str(config.options["kind"]))
-    inputs = _verify_inputs(config.specs)
-    if config.options.get("theta") is not None:
-        inputs["theta"] = float(config.options["theta"])
-    report = verify(kind, inputs, tol=config.tolerance, cfg=_settings(config))
+    report = verify(kind, _verify_inputs(config.specs), tol=config.tolerance,
+                    cfg=_settings(config))
     print(_report_line(report))
     if config.output_path:
         emit_report(report, config.output_path, config.format, seed=config.seed)
@@ -617,7 +568,7 @@ def _read_manifest(path: str):
                     raise InvalidInputError(
                         f"{path} line {lineno}: field {cell!r} is not role=spec")
                 role = role.strip()
-                if role not in _MANIFEST_ROLES:
+                if role not in _ROLES:
                     raise InvalidInputError(
                         f"{path} line {lineno}: unknown role {role!r}")
                 if role in fields:
@@ -755,6 +706,8 @@ def _parse_ns(raw: str):
         raise InvalidInputError(f"--ns {raw!r} is not a comma list of integers") from None
     if not values:
         raise InvalidInputError("--ns needs at least one matrix size")
+    if any(b <= a for a, b in zip(values, values[1:])):
+        raise InvalidInputError(f"--ns {raw!r} is not strictly increasing")
     return values
 
 
@@ -859,11 +812,8 @@ def _config_from(ns: argparse.Namespace) -> RunConfig:
         specs["mu"] = ns.mu
     elif command == "verify":
         options["kind"] = ns.kind
-        options["theta"] = ns.theta
-        for role in ("mu", "nu", "f", "g", "u3"):
-            val = getattr(ns, role)
-            if val is not None:
-                specs[role] = val
+        specs.update((role, str(getattr(ns, role))) for role in _ROLES
+                     if getattr(ns, role) is not None)
     elif command == "verify-suite":
         options["manifest"] = ns.manifest
     return RunConfig(

@@ -10,8 +10,12 @@ measured from the right edge, the density in theta is
 (1 + 2 sum tau_k cos(k theta))/pi, and the logarithmic energy is
 log(r/2) - 2 sum tau_k^2 / k.  Soft edges determine (m, r) through the two
 endpoint conditions of u'; hard edges pin an endpoint at the domain wall and
-the one remaining soft-edge condition (if any) is solved by bracketing.  The
-moment map iterates on tau through the same soft-edge step (`_soft_moments`).
+the one remaining soft-edge condition (if any) is solved by bracketing.  When
+the soft support would cross a wall, the walled configurations are tried in
+the order wall-left (left edge pinned, right edge soft), wall-right, then
+wall-both, and the first whose density brackets at both edges are above
+-_NEGATIVITY_SLACK is taken.  The moment map iterates on tau through the
+same soft-edge step (`_soft_moments`).
 
 An :class:`EquilibriumResult` keeps (m, r, tau) as its ``series``, which
 the scalar reads take; its quantile table (``measure``) and the
@@ -347,55 +351,37 @@ def solve_equilibrium(u: Potential, cfg: SolverSettings | None = None) -> Equili
     if not (np.isfinite(u.domain_lo) or np.isfinite(u.domain_hi)):
         raise soft_error or SolverError("one-cut ansatz failed")
 
-    scale = 1.0 + abs(u.domain_lo if np.isfinite(u.domain_lo) else 0.0) \
-        + abs(u.domain_hi if np.isfinite(u.domain_hi) else 0.0)
-    eps = 1e-9 * scale
+    lo, hi = u.domain_lo, u.domain_hi
+    eps = 1e-9 * (1.0 + abs(lo if np.isfinite(lo) else 0.0) + abs(hi if np.isfinite(hi) else 0.0))
 
-    # one wall pinned, the other edge soft: the free endpoint solves the
-    # remaining bracket condition
-    if np.isfinite(u.domain_lo):
-        a = u.domain_lo
+    def walled(a, b):
+        """tau on the support [a, b] with hard edges, and both edge brackets."""
+        tau = _tau_wall(u, 0.5 * (a + b), 0.5 * (b - a), *trig)
+        return (tau, *_edge_values(tau))
 
-        def right_soft(b):
-            mv, rv = 0.5 * (a + b), 0.5 * (b - a)
-            tau = _tau_wall(u, mv, rv, *trig)
-            return _edge_values(tau)[1]
+    # one wall pinned, the other edge soft: the free endpoint zeroes its
+    # bracket, found by a scan that runs only once the configurations before
+    # it are refused
+    def wall_left():
+        far = hi if np.isfinite(hi) else lo + 8.0 * (_laplace_seed(u)[1] + 1.0) + 64.0
+        b = _bracket_root(lambda b: walled(lo, b)[2], lo + eps + 1e-4, far)
+        return None if b is None or b >= hi - eps else (lo, b)
 
-        hi = u.domain_hi if np.isfinite(u.domain_hi) else a + 8.0 * (
-            _laplace_seed(u)[1] + 1.0) + 64.0
-        b = _bracket_root(right_soft, a + eps + 1e-4, hi)
-        if b is not None and (not np.isfinite(u.domain_hi) or b < u.domain_hi - eps):
-            mv, rv = 0.5 * (a + b), 0.5 * (b - a)
-            tau = _tau_wall(u, mv, rv, *trig)
-            left, _ = _edge_values(tau)
-            if left > -_NEGATIVITY_SLACK:
-                return _assemble(u, mv, rv, tau, "wall-left", 1, cfg)
+    def wall_right():
+        far = lo if np.isfinite(lo) else hi - 8.0 * (_laplace_seed(u)[1] + 1.0) - 64.0
+        a = _bracket_root(lambda a: walled(a, hi)[1], far, hi - eps - 1e-4)
+        return None if a is None or a <= lo + eps else (a, hi)
 
-    if np.isfinite(u.domain_hi):
-        b = u.domain_hi
-
-        def left_soft(a):
-            mv, rv = 0.5 * (a + b), 0.5 * (b - a)
-            tau = _tau_wall(u, mv, rv, *trig)
-            return _edge_values(tau)[0]
-
-        lo = u.domain_lo if np.isfinite(u.domain_lo) else b - 8.0 * (
-            _laplace_seed(u)[1] + 1.0) - 64.0
-        a = _bracket_root(left_soft, lo, b - eps - 1e-4)
-        if a is not None and (not np.isfinite(u.domain_lo) or a > u.domain_lo + eps):
-            mv, rv = 0.5 * (a + b), 0.5 * (b - a)
-            tau = _tau_wall(u, mv, rv, *trig)
-            _, right = _edge_values(tau)
-            if right > -_NEGATIVITY_SLACK:
-                return _assemble(u, mv, rv, tau, "wall-right", 1, cfg)
-
-    if np.isfinite(u.domain_lo) and np.isfinite(u.domain_hi):
-        mv = 0.5 * (u.domain_lo + u.domain_hi)
-        rv = 0.5 * (u.domain_hi - u.domain_lo)
-        tau = _tau_wall(u, mv, rv, *trig)
-        left, right = _edge_values(tau)
-        if left > -_NEGATIVITY_SLACK and right > -_NEGATIVITY_SLACK:
-            return _assemble(u, mv, rv, tau, "wall-both", 1, cfg)
+    for method, applies, edges in (
+            ("wall-left", np.isfinite(lo), wall_left),
+            ("wall-right", np.isfinite(hi), wall_right),
+            ("wall-both", np.isfinite(lo) and np.isfinite(hi), lambda: (lo, hi))):
+        ab = edges() if applies else None
+        if ab is not None:
+            tau, left, right = walled(*ab)
+            if left > -_NEGATIVITY_SLACK and right > -_NEGATIVITY_SLACK:
+                return _assemble(u, 0.5 * (ab[0] + ab[1]), 0.5 * (ab[1] - ab[0]), tau,
+                                 method, 1, cfg)
 
     raise soft_error or SolverError(
         "no edge configuration yields a nonnegative one-cut density")
@@ -477,13 +463,5 @@ def find_centering_shift(f: Potential, search_box=(-8.0, 8.0),
         curve.append((float(lam), float(val)))
         return val
 
-    from scipy.optimize import brentq
-
-    lo, hi = float(search_box[0]), float(search_box[1])
-    ts = np.linspace(lo, hi, 9)
-    vals = [bar(t) for t in ts]
-    for a, b, va, vb in zip(ts[:-1], ts[1:], vals[:-1], vals[1:]):
-        if va * vb <= 0.0:
-            lam = float(brentq(bar, a, b, xtol=1e-10))
-            return CenteringShift(found=True, lam=lam, curve=tuple(curve))
-    return CenteringShift(found=False, lam=None, curve=tuple(curve))
+    lam = _bracket_root(bar, float(search_box[0]), float(search_box[1]), samples=9)
+    return CenteringShift(found=lam is not None, lam=lam, curve=tuple(curve))

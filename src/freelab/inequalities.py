@@ -185,14 +185,18 @@ def _inverse_free_lsi(inputs, cfg):
     return lhs, rhs, {}, cfg.nodes
 
 
+def _lattice_box(*results) -> float:
+    """Half-width of the hypothesis lattice: 1.5 times the largest support."""
+    return 1.5 * max(abs(x) for r in results for x in (r.support_lo, r.support_hi))
+
+
 def _free_santalo(inputs, cfg):
     f = _potential(inputs, "f")
     g = _potential(inputs, "g")
     rf = solve_equilibrium(f, cfg)
     rg = solve_equilibrium(g, cfg)
     _require_centered("the equilibrium of f", series_moment(rf.series, 1))
-    box = 1.5 * max(abs(rf.support_lo), abs(rf.support_hi),
-                    abs(rg.support_lo), abs(rg.support_hi))
+    box = _lattice_box(rf, rg)
     floor = fenchel_young_gap(f, g, box)
     lhs = rf.pressure + rg.pressure
     rhs = 2.0 * HALF_LOG_2PI
@@ -249,9 +253,7 @@ def _free_brunn_minkowski(inputs, cfg):
     r1 = solve_equilibrium(u1, cfg)
     r2 = solve_equilibrium(u2, cfg)
     r3 = solve_equilibrium(u3, cfg)
-    box = 1.5 * max(abs(r1.support_lo), abs(r1.support_hi),
-                    abs(r2.support_lo), abs(r2.support_hi),
-                    abs(r3.support_lo), abs(r3.support_hi))
+    box = _lattice_box(r1, r2, r3)
     floor = lattice_floor(
         lambda xs, ys: theta * u1.value(xs)[:, None] + (1.0 - theta) * u2.value(ys)[None, :]
         - u3.value(theta * xs[:, None] + (1.0 - theta) * ys[None, :]),
@@ -288,8 +290,7 @@ def _free_log_prekopa(inputs, cfg):
     u2 = _potential(inputs, "g")
     r1 = solve_equilibrium(_even_lift(u1), cfg)
     r2 = solve_equilibrium(_even_lift(u2), cfg)
-    box = 1.5 * max(abs(r1.support_lo), abs(r1.support_hi),
-                    abs(r2.support_lo), abs(r2.support_hi))
+    box = _lattice_box(r1, r2)
     # the polar pairing of the two half-line potentials, on [0, box]^2
     floor = lattice_floor(
         lambda xs, ys: 0.5 * u1.value(np.square(xs))[:, None]

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from freelab.cli import (
     parse_measure,
     parse_potential,
 )
-from freelab.cli import _read_manifest
+from freelab import cli
+from freelab.cli import _read_manifest, _verify_inputs
 from freelab.equilibrium import SolverSettings, moment_map
 from freelab.errors import InvalidInputError
 from freelab.inequalities import KINDS, InequalityReport, verify
@@ -24,6 +26,7 @@ from freelab.transport import w2
 
 MANIFEST_V1 = os.path.join(os.path.dirname(__file__), os.pardir,
                            "manifests", "verify_suite_v1.csv")
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
 # ---------------------------------------------------------------------------
@@ -85,6 +88,22 @@ def test_spec_errors_carry_positions():
         parse_measure("   ")
 
 
+EXACT_SPEC_ERRORS = [
+    (parse_measure, "translate:a=1", "missing required key 'of'"),
+    (parse_measure, "translate:of=1,a=1", "key 'of' takes a parenthesized spec"),
+    (parse_measure, "translate:of=(semicircle),a=(mp)", "key 'a' takes a number, not a nested spec"),
+    (parse_potential, "shift:of=(quadratic)", "missing required key 'z'"),
+    (parse_potential, "abs:x=1", "'abs' does not take keys ['x']"),
+    # the nested spec is built before the keys that follow it are read
+    (parse_potential, "shift:of=(quadratic:q=1)", "'quadratic' does not take keys ['q']"),
+    (parse_measure, "bogus", "spec 'bogus', position 0: unknown measure 'bogus' "
+                             "(known: arcsine, mp, semicircle, translate)"),
+    (parse_potential, "semicircle", "spec 'semicircle', position 0: unknown potential "
+                                    "'semicircle' (known: abs, arcsine, halfline, legendre, "
+                                    "poly, quadratic, quartic, shift, tilt)"),
+]
+
+
 def test_spec_semantic_errors():
     with pytest.raises(InvalidInputError, match="duplicate"):
         parse_measure("semicircle:mean=0,mean=1")
@@ -96,6 +115,31 @@ def test_spec_semantic_errors():
         parse_potential("quadratic:c=(quadratic:c=1)")
     with pytest.raises(InvalidInputError, match="missing required key"):
         parse_potential("poly:c2=0.5")
+    for parse, spec, message in EXACT_SPEC_ERRORS:
+        with pytest.raises(InvalidInputError) as info:
+            parse(spec)
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize("what, parse, table", [
+    ("measure", parse_measure, cli._MEASURE_SPECS),
+    ("potential", parse_potential, cli._POTENTIAL_SPECS),
+])
+def test_readme_spec_reference_is_the_parser_table(what, parse, table):
+    # one line per head, every key in table order, defaults written as such
+    with open(README) as fh:
+        block = re.search(rf"```{what}-specs\n(.*?)```", fh.read(), re.S).group(1)
+    lines = block.splitlines()
+    for line in lines:
+        parse(line)
+    nodes = [cli._parse_spec(line, table, what) for line in lines]
+    assert sorted(head for head, _ in nodes) == sorted(table)
+    for head, args in nodes:
+        keys = table[head][1]
+        assert list(args) == [key for key, _ in keys], head
+        for key, default in keys:
+            if isinstance(default, float):
+                assert args[key] == default, (head, key)
 
 
 def test_run_config_validation():
@@ -495,11 +539,19 @@ def test_cli_rmt_converge_json(tmp_path):
     assert all(0.0 < s < 0.5 for s in data["statistic"])
 
 
-def test_cli_rmt_converge_rejects_bad_ns(capsys):
-    code = main(["rmt", "converge", "--potential", "quadratic:c=1",
-                 "--ns", "8,banana", "--out", "unused.json"])
-    assert code == 2
-    assert "--ns" in capsys.readouterr().err
+def test_cli_rmt_converge_rejects_bad_ns(monkeypatch, capsys):
+    # statistics come back in sorted N order, so sizes must increase strictly;
+    # a bad list exits before the solve and before any sampling
+    def never(*args, **kwargs):
+        raise AssertionError("bad --ns reached the solver or the sampler")
+
+    monkeypatch.setattr(cli, "solve_equilibrium", never)
+    monkeypatch.setattr(cli, "sample_eigenvalues", never)
+    for ns in ("8,banana", "8,8", "16,8"):
+        code = main(["rmt", "converge", "--potential", "quadratic:c=1",
+                     "--ns", ns, "--out", "unused.json"])
+        assert code == 2
+        assert "--ns" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -617,13 +669,7 @@ def test_versioned_manifest_covers_every_kind():
     assert len(rows) >= 40
     assert {kind for _, kind, _ in rows} == set(KINDS)
     for _, kind, fields in rows:
-        for role, spec in fields.items():
-            if role == "theta":
-                float(spec)
-            elif role in ("mu", "nu"):
-                parse_measure(spec)
-            else:
-                parse_potential(spec)
+        assert set(_verify_inputs(fields)) == set(fields)
 
 
 def test_python_dash_m_freelab_runs_from_a_checkout():

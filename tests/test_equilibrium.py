@@ -108,6 +108,20 @@ def test_flat_well_gives_arcsine():
     assert res.sd_residual > 0.5
 
 
+@pytest.mark.parametrize("lam", [2.5, 3.0, -2.5, -3.0])
+def test_tilted_flat_well_pins_the_wall_the_tilt_leans_on(lam):
+    # lam x on [-2, 2] with |lam| > 1: the half-line law of slope |lam| against
+    # the wall lam leans on, support of length 4/|lam|, log energy
+    # -log|lam| - 1/2, and int u = |lam| (mean - wall) - 2|lam| = 1 - 2|lam|
+    res = solve_equilibrium(tilt_linear(arcsine_indicator(2.0), lam))
+    s = abs(lam)
+    lo, hi = (-2.0, -2.0 + 4.0 / s) if lam > 0 else (2.0 - 4.0 / s, 2.0)
+    assert res.method == ("wall-left" if lam > 0 else "wall-right")
+    assert abs(res.support_lo - lo) < 1e-12 and abs(res.support_hi - hi) < 1e-12
+    assert abs(res.energy - (-np.log(s) - 0.5)) < 1e-12
+    assert abs(res.pressure - (-np.log(s) - 0.5 + 0.75 + HALF_LOG_2PI + 2.0 * s - 1.0)) < 1e-10
+
+
 def test_abs_potential_anchors():
     res = solve_equilibrium(abs_potential())
     assert abs(res.support_hi - np.pi) < 1e-6
