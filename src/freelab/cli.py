@@ -72,17 +72,6 @@ __all__ = [
 
 SCHEMA_VERSION = 1
 
-_COMMANDS = (
-    "equilibrium",
-    "pressure",
-    "w2",
-    "moment-map",
-    "verify",
-    "verify-suite",
-    "rmt-sample",
-    "rmt-converge",
-)
-
 
 # ---------------------------------------------------------------------------
 # spec mini-language
@@ -240,7 +229,7 @@ class RunConfig:
     format: str = "json"
 
     def __post_init__(self):
-        if self.command not in _COMMANDS:
+        if self.command not in _HANDLERS:
             raise InvalidInputError(f"unknown command {self.command!r}")
         if self.nodes < 256:
             raise InvalidInputError("nodes must be at least 256")

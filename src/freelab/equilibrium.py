@@ -337,9 +337,10 @@ def solve_equilibrium(u: Potential, cfg: SolverSettings | None = None) -> Equili
         a = np.trim_zeros(np.asarray(u.deriv_coeffs, dtype=float), "b")
         cos = _chebyshev_trig(max(8, 1 << (a.size + 1).bit_length()))[0]
 
+    laplace = _laplace_seed(u) if a is None else None
     soft_error = None
     try:
-        m, r, iters = _newton_soft(u, cos, cfg, _laplace_seed(u) if a is None else _poly_seed(a))
+        m, r, iters = _newton_soft(u, cos, cfg, _poly_seed(a) if laplace is None else laplace)
         if _fits_inside(u, m, r):
             tau = _soft_moments(u.d(m + r * cos), r)[0]
             if a is not None:
@@ -361,14 +362,15 @@ def solve_equilibrium(u: Potential, cfg: SolverSettings | None = None) -> Equili
 
     # one wall pinned, the other edge soft: the free endpoint zeroes its
     # bracket, found by a scan that runs only once the configurations before
-    # it are refused
+    # it are refused.  At most one side is unbounded here, so the Laplace
+    # seed that sizes its scan is taken at most once per solve.
     def wall_left():
-        far = hi if np.isfinite(hi) else lo + 8.0 * (_laplace_seed(u)[1] + 1.0) + 64.0
+        far = hi if np.isfinite(hi) else lo + 8.0 * ((laplace or _laplace_seed(u))[1] + 1.0) + 64.0
         b = _bracket_root(lambda b: walled(lo, b)[2], lo + eps + 1e-4, far)
         return None if b is None or b >= hi - eps else (lo, b)
 
     def wall_right():
-        far = lo if np.isfinite(lo) else hi - 8.0 * (_laplace_seed(u)[1] + 1.0) - 64.0
+        far = lo if np.isfinite(lo) else hi - 8.0 * ((laplace or _laplace_seed(u))[1] + 1.0) - 64.0
         a = _bracket_root(lambda a: walled(a, hi)[1], far, hi - eps - 1e-4)
         return None if a is None or a <= lo + eps else (a, hi)
 

@@ -16,10 +16,11 @@ there, so the restriction is harmless at the reported resolution.
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -45,27 +46,6 @@ from .transport import w2
 
 __all__ = ["KINDS", "InequalityReport", "verify"]
 
-# ">="-shaped statements store deficit = lhs - rhs; the rest are "<="-shaped
-# and store rhs - lhs, so deficit >= -tol <=> pass for every kind.
-_GEQ_SHAPED = frozenset({
-    "INVERSE_FREE_LSI",
-    "INVERSE_SANTALO",
-    "FREE_BRUNN_MINKOWSKI",
-})
-
-KINDS = (
-    "FREE_TALAGRAND",
-    "SSFTI",
-    "SSFTI_GENERAL",
-    "INVERSE_FREE_LSI",
-    "FREE_SANTALO",
-    "FREE_SANTALO_SHIFTED",
-    "INVERSE_SANTALO",
-    "FREE_BRUNN_MINKOWSKI",
-    "FREE_LOG_PREKOPA",
-    "INVERSE_SSFTI",
-)
-
 _CENTERING_TOL = 1e-8
 _EVENNESS_TOL = 1e-9
 
@@ -85,29 +65,12 @@ class InequalityReport:
     runtime_ms: int
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise InvalidInputError(f"unknown inequality kind {self.kind!r}")
-        oriented = (self.lhs - self.rhs if self.kind in _GEQ_SHAPED
-                    else self.rhs - self.lhs)
+        oriented = _kind(self.kind).oriented(self.lhs, self.rhs)
         same = (self.deficit == oriented) or (np.isnan(self.deficit) and np.isnan(oriented))
         if not same and abs(self.deficit - oriented) > 1e-12 * (1.0 + abs(oriented)):
             raise InvalidInputError("deficit does not match lhs/rhs orientation")
         if self.passed != bool(self.deficit >= -self.tolerance):
             raise InvalidInputError("pass flag does not match deficit and tolerance")
-
-
-def _measure(inputs, key) -> GridMeasure:
-    val = inputs.get(key)
-    if not isinstance(val, GridMeasure):
-        raise InvalidInputError(f"this kind needs a measure under {key!r}")
-    return val
-
-
-def _potential(inputs, key) -> Potential:
-    val = inputs.get(key)
-    if not isinstance(val, Potential):
-        raise InvalidInputError(f"this kind needs a potential under {key!r}")
-    return val
 
 
 def _require_centered(name: str, bar: float):
@@ -146,35 +109,29 @@ def _entropy(res) -> float:
 _SIGMA = make_semicircular()
 
 
-def _free_talagrand(inputs, cfg):
+def _free_talagrand(mu, cfg):
     # the nu-against-sigma specialization of SSFTI, routed through the same
     # code so the two reports agree to roundoff
-    mu = _measure(inputs, "mu")
-    return _ssfti({"mu": _SIGMA, "nu": mu}, cfg)
+    return _ssfti(_SIGMA, mu, cfg)
 
 
-def _ssfti(inputs, cfg):
-    mu = _measure(inputs, "mu")
-    nu = _measure(inputs, "nu")
+def _ssfti(mu, nu, cfg):
     _require_centered("mu", mu.barycenter())
     lhs = w2(mu, nu).cost_squared
     rhs = 2.0 * float(relative_entropy_semicircular(mu)) \
         + 2.0 * float(relative_entropy_semicircular(nu))
-    return lhs, rhs, {}, TRANSPORT_POINTS
+    return lhs, rhs, {}
 
 
-def _ssfti_general(inputs, cfg):
-    mu = _measure(inputs, "mu")
-    nu = _measure(inputs, "nu")
+def _ssfti_general(mu, nu, cfg):
     lhs = w2(mu, nu).cost_squared
     rhs = 2.0 * float(relative_entropy_semicircular(mu)) \
         + 2.0 * float(relative_entropy_semicircular(nu)) \
         - 2.0 * mu.barycenter() * nu.barycenter()
-    return lhs, rhs, {}, TRANSPORT_POINTS
+    return lhs, rhs, {}
 
 
-def _inverse_free_lsi(inputs, cfg):
-    u = _potential(inputs, "f")
+def _inverse_free_lsi(u, cfg):
     _require_convex(u)
     res = solve_equilibrium(u, cfg)
     lhs = (HALF_LOG_2PI + 0.5) - _entropy(res)
@@ -182,7 +139,7 @@ def _inverse_free_lsi(inputs, cfg):
     # flat stretches of u' push mass onto atoms: the log-Jacobian diverges
     # to -inf and log_jacobian reports nan; the bound then holds trivially
     rhs = 0.5 * jac if np.isfinite(jac) else -np.inf
-    return lhs, rhs, {}, cfg.nodes
+    return lhs, rhs, {}
 
 
 def _lattice_box(*results) -> float:
@@ -190,9 +147,7 @@ def _lattice_box(*results) -> float:
     return 1.5 * max(abs(x) for r in results for x in (r.support_lo, r.support_hi))
 
 
-def _free_santalo(inputs, cfg):
-    f = _potential(inputs, "f")
-    g = _potential(inputs, "g")
+def _free_santalo(f, g, cfg):
     rf = solve_equilibrium(f, cfg)
     rg = solve_equilibrium(g, cfg)
     _require_centered("the equilibrium of f", series_moment(rf.series, 1))
@@ -201,21 +156,18 @@ def _free_santalo(inputs, cfg):
     lhs = rf.pressure + rg.pressure
     rhs = 2.0 * HALF_LOG_2PI
     extra = {"lattice_floor": f"{floor:.6g}", "lattice_box": f"{box:.6g}"}
-    return lhs, rhs, extra, cfg.nodes
+    return lhs, rhs, extra
 
 
-def _free_santalo_shifted(inputs, cfg):
-    f = _potential(inputs, "f")
-    g = _potential(inputs, "g")
+def _free_santalo_shifted(f, g, cfg):
     z = series_moment(solve_equilibrium(f, cfg).series, 1)
     # f(z + .) has a centered equilibrium; g - z id keeps the duality gap
-    shifted = {"f": shift_potential(f, -z), "g": tilt_linear(g, -z)}
-    lhs, rhs, extra, res = _free_santalo(shifted, cfg)
+    lhs, rhs, extra = _free_santalo(shift_potential(f, -z), tilt_linear(g, -z), cfg)
     extra["santalo_point"] = f"{z:.12g}"
-    return lhs, rhs, extra, res
+    return lhs, rhs, extra
 
 
-def _inverse_santalo(inputs, cfg):
+def _inverse_santalo(f, cfg):
     """eta(f) + eta(f*) >= log(pi^2/2) for even convex confining f.
 
     Write eta(V) = sup_mu [E(mu) - int V dmu] + 3/4 + log(2 pi)/2.  Flat
@@ -234,20 +186,16 @@ def _inverse_santalo(inputs, cfg):
     pairs, walled quadratics against their Huber conjugates, the manifest
     rows), not proven.
     """
-    f = _potential(inputs, "f")
     _require_convex(f)
     _require_even(f)
     fstar = legendre_transform(f)
     lhs = solve_equilibrium(f, cfg).pressure + solve_equilibrium(fstar, cfg).pressure
     rhs = float(np.log(0.5 * np.pi * np.pi))
-    return lhs, rhs, {"g": fstar.label}, cfg.nodes
+    return lhs, rhs, {"g": fstar.label}
 
 
-def _free_brunn_minkowski(inputs, cfg):
-    u1 = _potential(inputs, "f")
-    u2 = _potential(inputs, "g")
-    u3 = _potential(inputs, "u3")
-    theta = float(inputs.get("theta", 0.5))
+def _free_brunn_minkowski(u1, u2, u3, theta, cfg):
+    theta = float(theta)
     if not 0.0 < theta < 1.0:
         raise InvalidInputError("theta must lie strictly between 0 and 1")
     r1 = solve_equilibrium(u1, cfg)
@@ -262,7 +210,7 @@ def _free_brunn_minkowski(inputs, cfg):
     lhs = r3.pressure
     rhs = theta * r1.pressure + (1.0 - theta) * r2.pressure
     extra = {"theta": f"{theta:g}", "lattice_floor": f"{floor:.6g}"}
-    return lhs, rhs, extra, cfg.nodes
+    return lhs, rhs, extra
 
 
 def _even_lift(u: Potential) -> Potential:
@@ -285,9 +233,7 @@ def _even_lift(u: Potential) -> Potential:
     )
 
 
-def _free_log_prekopa(inputs, cfg):
-    u1 = _potential(inputs, "f")
-    u2 = _potential(inputs, "g")
+def _free_log_prekopa(u1, u2, cfg):
     r1 = solve_equilibrium(_even_lift(u1), cfg)
     r2 = solve_equilibrium(_even_lift(u2), cfg)
     box = _lattice_box(r1, r2)
@@ -302,11 +248,10 @@ def _free_log_prekopa(inputs, cfg):
     lhs = (r1.pressure - half_log2) + (r2.pressure - half_log2)
     rhs = float(np.log(np.pi))
     extra = {"lattice_floor": f"{floor:.6g}", "lattice_box": f"{box:.6g}"}
-    return lhs, rhs, extra, cfg.nodes
+    return lhs, rhs, extra
 
 
-def _inverse_ssfti(inputs, cfg):
-    f = _potential(inputs, "f")
+def _inverse_ssfti(f, cfg):
     _require_convex(f)
     _require_even(f)
     fstar = legendre_transform(f)
@@ -315,21 +260,69 @@ def _inverse_ssfti(inputs, cfg):
     lhs = float(relative_entropy_semicircular(mu)) \
         + float(relative_entropy_semicircular(mustar))
     rhs = 0.5 * w2(mu, mustar).cost_squared + 0.5 * float(np.log(np.pi / 2.0))
-    return lhs, rhs, {"g": fstar.label}, cfg.nodes
+    return lhs, rhs, {"g": fstar.label}
 
 
-_KIND_IMPL = {
-    "FREE_TALAGRAND": _free_talagrand,
-    "SSFTI": _ssfti,
-    "SSFTI_GENERAL": _ssfti_general,
-    "INVERSE_FREE_LSI": _inverse_free_lsi,
-    "FREE_SANTALO": _free_santalo,
-    "FREE_SANTALO_SHIFTED": _free_santalo_shifted,
-    "INVERSE_SANTALO": _inverse_santalo,
-    "FREE_BRUNN_MINKOWSKI": _free_brunn_minkowski,
-    "FREE_LOG_PREKOPA": _free_log_prekopa,
-    "INVERSE_SSFTI": _inverse_ssfti,
+# the type each role takes, named for error messages
+_ROLE_TYPES = {"mu": (GridMeasure, "a measure"), "nu": (GridMeasure, "a measure"),
+               "f": (Potential, "a potential"), "g": (Potential, "a potential"),
+               "u3": (Potential, "a potential"), "theta": (numbers.Real, "a number")}
+
+
+class _Kind:
+    """One statement: the roles ``sides(*values, cfg) -> (lhs, rhs, extra)``
+    takes, in order, with the default of each optional one, and whether it
+    is ">="-shaped.  The deficit is lhs - rhs if so and rhs - lhs if not,
+    so deficit >= -tol <=> pass for every kind."""
+
+    def __init__(self, roles: tuple, geq: bool, sides: Callable, **defaults):
+        self.roles, self.geq, self.sides, self.defaults = roles, geq, sides, defaults
+        self.reads = frozenset(roles)
+        # (role, type, its name, default), precomputed for the per-call check
+        self.slots = tuple((r, *_ROLE_TYPES[r], defaults.get(r)) for r in roles)
+
+    def oriented(self, lhs, rhs):
+        return lhs - rhs if self.geq else rhs - lhs
+
+    def values(self, kind: str, inputs: Mapping[str, object]) -> list:
+        """The inputs in ``sides`` order, defaults filled in; a stray,
+        missing or mistyped role raises ``InvalidInputError``."""
+        if not inputs.keys() <= self.reads:
+            stray = ", ".join(repr(r) for r in inputs if r not in self.reads)
+            raise InvalidInputError(
+                f"{kind} does not read {stray}; it reads {', '.join(self.roles)}")
+        values = []
+        for role, cls, what, default in self.slots:
+            val = inputs.get(role, default)
+            if not isinstance(val, cls):
+                got = type(val).__name__ if role in inputs else "nothing"
+                raise InvalidInputError(f"{kind} needs {what} under {role!r}, got {got}")
+            values.append(val)
+        return values
+
+
+_KINDS = {
+    "FREE_TALAGRAND": _Kind(("mu",), False, _free_talagrand),
+    "SSFTI": _Kind(("mu", "nu"), False, _ssfti),
+    "SSFTI_GENERAL": _Kind(("mu", "nu"), False, _ssfti_general),
+    "INVERSE_FREE_LSI": _Kind(("f",), True, _inverse_free_lsi),
+    "FREE_SANTALO": _Kind(("f", "g"), False, _free_santalo),
+    "FREE_SANTALO_SHIFTED": _Kind(("f", "g"), False, _free_santalo_shifted),
+    "INVERSE_SANTALO": _Kind(("f",), True, _inverse_santalo),
+    "FREE_BRUNN_MINKOWSKI": _Kind(("f", "g", "u3", "theta"), True,
+                                  _free_brunn_minkowski, theta=0.5),
+    "FREE_LOG_PREKOPA": _Kind(("f", "g"), False, _free_log_prekopa),
+    "INVERSE_SSFTI": _Kind(("f",), False, _inverse_ssfti),
 }
+
+KINDS = tuple(_KINDS)
+
+
+def _kind(kind: str) -> _Kind:
+    row = _KINDS.get(kind)
+    if row is None:
+        raise InvalidInputError(f"unknown inequality kind {kind!r}")
+    return row
 
 
 def _describe(val) -> str:
@@ -344,26 +337,28 @@ def verify(kind: str, inputs: Mapping[str, object], tol: float = 1e-3,
            cfg: SolverSettings | None = None) -> InequalityReport:
     """Evaluate both sides of the named inequality.
 
-    Measures go in under ``mu`` / ``nu`` and potentials under ``f`` / ``g``
-    (plus ``u3`` and ``theta`` for the three-potential interpolation kind).
+    ``inputs`` maps each role the kind reads to its value: measures under
+    ``mu`` / ``nu``, potentials under ``f`` / ``g`` / ``u3``, and the number
+    ``theta``.  README's ``verify-kinds`` block lists the roles of every
+    kind; a missing, mistyped or unread role raises ``InvalidInputError``.
     The deficit is ``rhs - lhs`` for upper bounds and ``lhs - rhs`` for
     lower bounds, so ``passed`` uniformly means the statement holds within
     ``tol``.  A non-finite side (collapsed pushforward, escaping entropy)
     is flagged in the input map instead of raising, so sweeps complete.
     """
-    if kind not in _KIND_IMPL:
-        raise InvalidInputError(f"unknown inequality kind {kind!r}")
+    row = _kind(kind)
     if not 0.0 <= tol < np.inf:
         raise InvalidInputError("tolerance must be nonnegative and finite")
+    values = row.values(kind, inputs)
     cfg = cfg or SolverSettings()
     start = time.perf_counter()
-    lhs, rhs, extra, resolution = _KIND_IMPL[kind](inputs, cfg)
+    lhs, rhs, extra = row.sides(*values, cfg)
     described = {k: _describe(v) for k, v in inputs.items()}
     described.update(extra)
     if not (np.isfinite(lhs) and np.isfinite(rhs)):
         described["sentinel"] = "non-finite side"
     with np.errstate(invalid="ignore"):
-        deficit = float(lhs - rhs if kind in _GEQ_SHAPED else rhs - lhs)
+        deficit = float(row.oriented(lhs, rhs))
     return InequalityReport(
         kind=kind,
         lhs=float(lhs),
@@ -372,6 +367,7 @@ def verify(kind: str, inputs: Mapping[str, object], tol: float = 1e-3,
         tolerance=float(tol),
         passed=bool(deficit >= -tol),
         inputs=MappingProxyType(described),
-        resolution=int(resolution),
+        # the measure kinds transport on a fixed grid; the rest solve on cfg's
+        resolution=TRANSPORT_POINTS if "mu" in row.reads else int(cfg.nodes),
         runtime_ms=int(1000.0 * (time.perf_counter() - start)),
     )

@@ -19,7 +19,7 @@ from freelab import cli
 from freelab.cli import _read_manifest, _verify_inputs
 from freelab.equilibrium import SolverSettings, moment_map
 from freelab.errors import InvalidInputError
-from freelab.inequalities import KINDS, InequalityReport, verify
+from freelab.inequalities import _KINDS, KINDS, InequalityReport, verify
 from freelab.measures import moment
 from freelab.rmt import ConvergenceSeries
 from freelab.transport import w2
@@ -361,6 +361,19 @@ def test_cli_hypothesis_violation_exits_two(capsys):
     assert "centered" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, kind, role", [
+    (["ssfti", "--mu", "semicircle", "--nu", "semicircle", "--theta", "0.5"], "SSFTI", "'theta'"),
+    (["free_talagrand", "--mu", "semicircle", "--f", "quadratic", "--g", "abs"],
+     "FREE_TALAGRAND", "'f', 'g'"),
+])
+def test_cli_verify_rejects_roles_the_kind_never_reads(tmp_path, capsys, argv, kind, role):
+    out = tmp_path / "r.json"
+    assert main(["verify", *argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{kind} does not read {role}" in err
+    assert not out.exists()
+
+
 def test_cli_parse_error_exits_two(capsys):
     code = main(["w2", "--mu", "semicircel:mean=0", "--nu", "semicircle"])
     assert code == 2
@@ -634,10 +647,22 @@ def test_verify_suite_error_rows(tmp_path, capsys):
     assert "manifest line 1" in capsys.readouterr().err
 
 
+def test_verify_suite_row_with_a_stray_role_exits_two(tmp_path, capsys):
+    manifest = tmp_path / "m.csv"
+    _write_manifest(manifest, [["kind", "inputs..."], SMALL_ROWS[1],
+                               ["ssfti", "mu=semicircle", "nu=semicircle", "theta=0.5"]])
+    code = main(["verify-suite", "--manifest", str(manifest),
+                 "--out", str(tmp_path / "s.csv")])
+    assert code == 2
+    assert ("manifest line 3 (SSFTI): SSFTI does not read 'theta'; it reads mu, nu"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "s.csv").exists()
+
+
 @pytest.mark.parametrize("theta", ["abc", "1e999", "nan"])
 def test_verify_suite_rejects_bad_theta_when_reading_the_manifest(tmp_path, capsys, theta):
     manifest = tmp_path / "m.csv"
-    _write_manifest(manifest, [["free_log_prekopa", "f=quadratic:c=1", "g=quadratic:c=2",
+    _write_manifest(manifest, [["free_brunn_minkowski", "f=quadratic:c=1", "g=quadratic:c=2",
                                 "u3=quadratic:c=1.5", f"theta={theta}"]])
     code = main(["verify-suite", "--manifest", str(manifest),
                  "--out", str(tmp_path / "s.csv")])
@@ -670,6 +695,7 @@ def test_versioned_manifest_covers_every_kind():
     assert {kind for _, kind, _ in rows} == set(KINDS)
     for _, kind, fields in rows:
         assert set(_verify_inputs(fields)) == set(fields)
+        assert set(fields) <= _KINDS[kind].reads, kind
 
 
 def test_python_dash_m_freelab_runs_from_a_checkout():

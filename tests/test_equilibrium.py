@@ -122,6 +122,18 @@ def test_tilted_flat_well_pins_the_wall_the_tilt_leans_on(lam):
     assert abs(res.pressure - (-np.log(s) - 0.5 + 0.75 + HALF_LOG_2PI + 2.0 * s - 1.0)) < 1e-10
 
 
+def test_walled_solve_on_an_unbounded_side_scans_its_seed_once(monkeypatch):
+    # the soft seed and the wall-left bracket's far end share one scan
+    import freelab.equilibrium as equilibrium
+
+    scans = []
+    seed = equilibrium._laplace_seed
+    monkeypatch.setattr(equilibrium, "_laplace_seed", lambda u: scans.append(u) or seed(u))
+    res = solve_equilibrium(tilt_linear(linear_halfline(1.0), 0.5))
+    assert res.method == "wall-left"
+    assert len(scans) == 1
+
+
 def test_abs_potential_anchors():
     res = solve_equilibrium(abs_potential())
     assert abs(res.support_hi - np.pi) < 1e-6

@@ -1,9 +1,12 @@
+import os
+import re
+
 import numpy as np
 import pytest
 
 from freelab.equilibrium import free_pressure, solve_equilibrium
 from freelab.errors import HypothesisError, InvalidInputError
-from freelab.inequalities import KINDS, InequalityReport, verify
+from freelab.inequalities import _KINDS, KINDS, InequalityReport, verify
 from freelab.logpotential import chi_plus, relative_entropy_semicircular
 from freelab.measures import (
     make_arcsine, make_marchenko_pastur_family, make_semicircular, moment, translate)
@@ -23,6 +26,7 @@ from freelab.potentials import (
 HALF_LOG_2PI = 0.5 * np.log(2.0 * np.pi)
 SIGMA = make_semicircular()
 ARCSINE = make_arcsine(1.0)
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
 def test_kind_registry_is_complete():
@@ -38,6 +42,62 @@ def test_unknown_kind_and_bad_tolerance_rejected():
     for tol in (-1e-3, np.nan, np.inf):
         with pytest.raises(InvalidInputError):
             verify("SSFTI", {"mu": SIGMA, "nu": SIGMA}, tol=tol)
+
+
+# a value of the right type for every role, and one of the wrong type
+ROLE_VALUES = {"mu": (SIGMA, quadratic(1.0)), "nu": (ARCSINE, quadratic(1.0)),
+               "f": (quadratic(1.0), SIGMA), "g": (quadratic(2.0), SIGMA),
+               "u3": (quadratic(1.0), SIGMA), "theta": (0.5, quadratic(1.0))}
+
+
+def _inputs(kind):
+    return {role: ROLE_VALUES[role][0] for role in _KINDS[kind].roles}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_verify_rejects_a_role_the_kind_never_reads(kind):
+    reads = _KINDS[kind].roles
+    for role in sorted(set(ROLE_VALUES) - set(reads)):
+        inputs = {**_inputs(kind), role: ROLE_VALUES[role][0]}
+        with pytest.raises(InvalidInputError) as err:
+            verify(kind, inputs)
+        assert str(err.value) == f"{kind} does not read {role!r}; it reads {', '.join(reads)}"
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_verify_rejects_a_missing_role(kind):
+    for role in _KINDS[kind].roles:
+        if role in _KINDS[kind].defaults:
+            continue
+        inputs = _inputs(kind)
+        del inputs[role]
+        with pytest.raises(InvalidInputError, match=f"^{kind} needs a .* under '{role}', got nothing$"):
+            verify(kind, inputs)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_verify_rejects_a_mistyped_role(kind):
+    for role in _KINDS[kind].roles:
+        inputs = {**_inputs(kind), role: ROLE_VALUES[role][1]}
+        got = type(ROLE_VALUES[role][1]).__name__
+        with pytest.raises(InvalidInputError, match=f"^{kind} needs a .* under '{role}', got {got}$"):
+            verify(kind, inputs)
+
+
+def test_brunn_minkowski_theta_defaults_to_one_half():
+    r = verify("FREE_BRUNN_MINKOWSKI",
+               {"f": quadratic(1.0), "g": quadratic(2.0), "u3": quadratic(4.0 / 3.0)})
+    assert r.inputs["theta"] == "0.5"
+    assert abs(r.deficit - (0.5 * np.log(3.0) - 0.75 * np.log(2.0))) < 1e-9
+
+
+def test_readme_verify_kinds_is_the_kind_table():
+    # one line per kind, in KINDS order: its roles in order, defaults as role=value
+    with open(README) as fh:
+        block = re.search(r"```verify-kinds\n(.*?)```", fh.read(), re.S).group(1)
+    want = [" ".join([kind] + [f"{r}={row.defaults[r]:g}" if r in row.defaults else r
+                               for r in row.roles]) for kind, row in _KINDS.items()]
+    assert block.splitlines() == want
 
 
 def test_report_consistency_is_enforced():
