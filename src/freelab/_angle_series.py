@@ -111,10 +111,21 @@ def series_energy(r: float, tau: np.ndarray) -> float:
 
 def series_moment(series, k: int) -> float:
     """k-th raw moment of an angle series: (m + r x)^k in Chebyshev
-    polynomials T_j, each integrating to tau_j."""
+    polynomials T_j, each integrating to tau_j, by k products with m + r x,
+    x T_0 = T_1 and x T_j = (T_{j-1} + T_{j+1}) / 2."""
     m, r, tau = series
-    a = np.polynomial.chebyshev.chebpow([m, r], k)
-    return float(a[0] + a[1:1 + tau.size] @ tau[:k])
+    m, r = float(m), float(r)
+    a = [1.0]
+    for _ in range(k):
+        b = [m * v for v in a] + [0.0]
+        b[1] += r * a[0]
+        for j in range(1, len(a)):
+            h = 0.5 * r * a[j]
+            b[j - 1] += h
+            b[j + 1] += h
+        a = b
+    n = min(k, tau.size)
+    return float(a[0] + np.dot(a[1:1 + n], tau[:n]))
 
 
 def solve_angle(tau: np.ndarray, target: np.ndarray, steps: int) -> np.ndarray:

@@ -37,7 +37,7 @@ from .equilibrium import (
     solve_equilibrium,
 )
 from .errors import FreelabError, InvalidInputError
-from .inequalities import InequalityReport, verify
+from .inequalities import InequalityReport, check_roles, verify
 from .measures import (
     GridMeasure,
     make_arcsine,
@@ -538,7 +538,8 @@ def _is_finite_number(text: str) -> bool:
 
 def _read_manifest(path: str):
     """Rows ``kind, role=spec, ...``; blank lines, comments, and an optional
-    header row are skipped."""
+    header row are skipped.  Each row's kind, role names and ``theta`` are
+    checked here, so a bad row stops the suite before any row runs."""
     rows = []
     with open(path, newline="") as fh:
         for lineno, rec in enumerate(csv.reader(fh), start=1):
@@ -568,7 +569,12 @@ def _read_manifest(path: str):
                     raise InvalidInputError(
                         f"{path} line {lineno}: theta {spec!r} is not a finite number")
                 fields[role] = spec
-            rows.append((lineno, _canonical_kind(kind), fields))
+            kind = _canonical_kind(kind)
+            try:
+                check_roles(kind, fields.keys())
+            except InvalidInputError as exc:
+                raise InvalidInputError(f"manifest line {lineno} ({kind}): {exc}") from exc
+            rows.append((lineno, kind, fields))
     if not rows:
         raise InvalidInputError(f"manifest {path} has no verification rows")
     return rows

@@ -34,8 +34,13 @@ Convex polynomial potentials (``deriv_coeffs``, u' of degree d) solve on
 K Chebyshev angles, K the least power of two >= max(8, d + 3), where the
 DCT-II is exact: tau_1 .. tau_{d+1} are exact, the rest vanish and are
 dropped, int u d(nu) is Gauss-Chebyshev on the same angles, and Newton
-starts from the coefficients (`_poly_seed`).  Other potentials keep the
-``nodes``-angle solve and the scanned seed.
+starts from the coefficients (`_poly_seed`: the real root of u' and the
+positive root of r c_1 = 4, both by bracketed Newton steps).  Other
+potentials keep the ``nodes``-angle solve.  Their seed center x0 is the
+argmin of u on a scan, and their seed radius the root of r c_1(x0, r) = 4
+with c_1 read on 64 Chebyshev angles, bracketed geometrically from
+2 / sqrt(u''(x0)) and refined to rounding (`_radius_seed`); a kink or a cusp
+at x0 makes that curvature radius itself a poor seed.
 """
 
 from __future__ import annotations
@@ -74,6 +79,8 @@ __all__ = [
 _CDF_GRID = 32768
 _NEGATIVITY_SLACK = 5e-3
 _MAP_MODES = 64  # tau_1 .. tau_64 of the moment map's nu
+_SEED_ANGLES = 64  # Chebyshev angles of the radius seed
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -220,18 +227,104 @@ def _laplace_seed(u: Potential):
     return float(x0), r0
 
 
+def _radius_seed(u: Potential, x0: float, r0: float) -> float:
+    """r with r c_1(x0, r) = 4, c_1 = (2 / k) u'(x0 + r cos) . cos on the k =
+    _SEED_ANGLES Chebyshev angles: bracketed by doubling or halving from r0,
+    then Illinois steps in the bracket until it is a few ulps wide.
+    r c_1 increases with r where u' does, so a non-convex u keeps r0, and so
+    does one whose bracket leaves the domain (a wall, or u' flat inside it)."""
+    if not u.is_convex:
+        return r0
+    cos = _chebyshev_trig(_SEED_ANGLES)[0]
+
+    def excess(r):
+        if not (u.domain_lo < x0 - r and x0 + r < u.domain_hi):
+            return math.nan
+        return (2.0 * r / cos.size) * float(u.d(x0 + r * cos) @ cos) - 4.0
+
+    lo = hi = r0
+    g_lo = g_hi = excess(r0)
+    for _ in range(64):  # grow or shrink until the sign changes
+        if not math.isfinite(g_lo + g_hi):
+            return r0
+        if g_lo >= 0.0:
+            hi, g_hi, lo = lo, g_lo, 0.5 * lo
+            g_lo = excess(lo)
+        elif g_hi < 0.0:
+            lo, g_lo, hi = hi, g_hi, 2.0 * hi
+            g_hi = excess(hi)
+        else:
+            break
+    else:
+        return r0
+    side = 0
+    for _ in range(100):
+        if g_hi == 0.0 or hi - lo <= 4.0 * _EPS * hi:
+            break
+        # regula falsi, kept an ulp or two inside the bracket so that a
+        # step onto the root also closes the bracket from its far side
+        r = hi - g_hi * (hi - lo) / (g_hi - g_lo)
+        r = min(max(r, lo + 2.0 * _EPS * hi), hi - 2.0 * _EPS * hi)
+        g = excess(r)
+        if not math.isfinite(g):
+            return r0
+        if g < 0.0:  # Illinois: halve the end that a second step in a row leaves
+            lo, g_lo = r, g
+            g_hi *= 0.5 if side < 0 else 1.0
+            side = -1
+        else:
+            hi, g_hi = r, g
+            g_lo *= 0.5 if side > 0 else 1.0
+            side = 1
+    return hi if g_hi == 0.0 else 0.5 * (lo + hi)
+
+
+def _increasing_root(p, lo: float, hi: float) -> float:
+    """The root in [lo, hi] of the polynomial with ascending coefficients p,
+    p(lo) < 0 < p(hi): Newton steps on p / p', quadratic at a root of any
+    multiplicity, each kept inside the shrinking sign bracket or replaced by
+    its midpoint, until a step moves nothing or the bracket is two adjacent
+    floats."""
+    x = 0.5 * (lo + hi)
+    while True:
+        v = d1 = d2 = 0.0  # p, p' and p'' / 2 at x by Horner
+        for c in reversed(p):
+            d2 = d2 * x + d1
+            d1 = d1 * x + v
+            v = v * x + c
+        if v == 0.0:
+            return x
+        if v < 0.0:
+            lo = x
+        else:
+            hi = x
+        den = d1 * d1 - 2.0 * v * d2
+        t = x - v * d1 / den if den != 0.0 else math.nan
+        if t == x:
+            return x
+        if not lo < t < hi:
+            t = 0.5 * (lo + hi)
+            if not lo < t < hi:
+                return x
+        x = t
+
+
 def _poly_seed(a: np.ndarray):
-    """(m0, r0) for u' with ascending coefficients a: the real root of u', and
-    the positive root of r c_1 = 4, a polynomial in r^2: u'(m0 + r cos t) =
-    sum b_i r^i cos^i t, and cos^i t has cos t coefficient 2^(1-i) C(i, i//2)."""
-    roots = np.roots(a[::-1])
-    m = float(roots[np.argmin(np.abs(roots.imag))].real)
-    b = [sum(a[j] * math.comb(j, i) * m ** (j - i) for j in range(i, a.size))
-         for i in range(a.size)]
-    q = [-4.0] + [b[i] * 2.0 ** (1 - i) * math.comb(i, i // 2) for i in range(1, a.size, 2)]
-    s = np.roots(q[::-1])
-    s = s[s.real > 0.0]
-    return m, float(np.sqrt(s[np.argmin(np.abs(s.imag))].real))
+    """(m0, r0) for increasing u' with ascending coefficients a: the real root
+    of u', inside the Cauchy bound 1 + max |a_i / a_d|, and the positive root
+    of r c_1 = 4, a polynomial in s = r^2 that increases from -4 at s = 0:
+    u'(m0 + r cos t) = sum b_i r^i cos^i t, and cos^i t has cos t coefficient
+    2^(1-i) C(i, i//2)."""
+    a = a.tolist()
+    bound = 1.0 + max(abs(c / a[-1]) for c in a[:-1])
+    m = _increasing_root(a, -bound, bound)
+    b = [sum(a[j] * math.comb(j, i) * m ** (j - i) for j in range(i, len(a)))
+         for i in range(len(a))]
+    q = [-4.0] + [b[i] * 2.0 ** (1 - i) * math.comb(i, i // 2) for i in range(1, len(a), 2)]
+    top = 1.0
+    while sum(c * top ** j for j, c in enumerate(q)) <= 0.0:
+        top *= 2.0
+    return m, math.sqrt(_increasing_root(q, 0.0, top))
 
 
 def _fits_inside(u: Potential, m: float, r: float) -> bool:
@@ -340,7 +433,8 @@ def solve_equilibrium(u: Potential, cfg: SolverSettings | None = None) -> Equili
     laplace = _laplace_seed(u) if a is None else None
     soft_error = None
     try:
-        m, r, iters = _newton_soft(u, cos, cfg, _poly_seed(a) if laplace is None else laplace)
+        seed = _poly_seed(a) if a is not None else (laplace[0], _radius_seed(u, *laplace))
+        m, r, iters = _newton_soft(u, cos, cfg, seed)
         if _fits_inside(u, m, r):
             tau = _soft_moments(u.d(m + r * cos), r)[0]
             if a is not None:

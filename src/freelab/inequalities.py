@@ -284,13 +284,21 @@ class _Kind:
     def oriented(self, lhs, rhs):
         return lhs - rhs if self.geq else rhs - lhs
 
+    def check(self, kind: str, roles) -> None:
+        """A stray role, or a missing one without a default, raises
+        ``InvalidInputError``."""
+        if not roles <= self.reads:
+            stray = ", ".join(repr(r) for r in roles if r not in self.reads)
+            raise InvalidInputError(
+                f"{kind} does not read {stray}; it reads {', '.join(self.roles)}")
+        for role, _, what, default in self.slots:
+            if default is None and role not in roles:
+                raise InvalidInputError(f"{kind} needs {what} under {role!r}, got nothing")
+
     def values(self, kind: str, inputs: Mapping[str, object]) -> list:
         """The inputs in ``sides`` order, defaults filled in; a stray,
         missing or mistyped role raises ``InvalidInputError``."""
-        if not inputs.keys() <= self.reads:
-            stray = ", ".join(repr(r) for r in inputs if r not in self.reads)
-            raise InvalidInputError(
-                f"{kind} does not read {stray}; it reads {', '.join(self.roles)}")
+        self.check(kind, inputs.keys())
         values = []
         for role, cls, what, default in self.slots:
             val = inputs.get(role, default)
@@ -323,6 +331,13 @@ def _kind(kind: str) -> _Kind:
     if row is None:
         raise InvalidInputError(f"unknown inequality kind {kind!r}")
     return row
+
+
+def check_roles(kind: str, roles) -> None:
+    """Raise ``InvalidInputError``, with the message `verify` gives, if
+    ``kind`` is unknown or the role names ``roles`` (a set-like view) hold a
+    role it never reads or lack one it needs."""
+    _kind(kind).check(kind, roles)
 
 
 def _describe(val) -> str:

@@ -369,27 +369,31 @@ def _root_jacobian(series, coeffs) -> EnergyValue | None:
     flat = flat.real[(np.abs(flat.imag) <= 1e-6 * (1.0 + np.abs(flat))) & (np.abs(flat.real - m) < r)]
     edges = np.unique(np.r_[0.0, np.arccos((flat - m) / r), np.pi])
     t, w = gauss_legendre_01(_ROOT_NODES)
-
-    def integral(bounds):
+    # the coarse pieces and their halves in one batch, whose two weighted
+    # sums are split at the end
+    theta, wt = [], []
+    for bounds in (edges, np.unique(np.r_[edges, 0.5 * (edges[1:] + edges[:-1])])):
         h = np.diff(bounds)[:, None]
-        theta, wt = (bounds[:-1, None] + h * t).ravel(), (h * w).ravel()
-        y = m + r * np.cos(theta)
-        # (u'(x) - u'(y)) / (x - y) = sum_i b_i x^i by synthetic division,
-        # b listed from x^n down; its roots are the companion eigenvalues
-        b = [np.full(y.size, a[-1])]
-        for aj in a[-2:0:-1]:
-            b.append(aj + y * b[-1])
-        comp = np.zeros((y.size, n, n))
-        comp[:, 0, :] = -np.stack(b[1:], axis=1) / a[-1]
-        comp[:, np.arange(1, n), np.arange(n - 1)] = 1.0
-        z = (np.linalg.eigvals(comp).astype(complex) - m) / r
-        phi = z + np.sqrt(z - 1.0) * np.sqrt(z + 1.0)
-        pot = np.log(r * np.abs(phi) / 2.0) - (phi[..., None] ** -ks).real @ wc
-        dens = (1.0 + 2.0 * (np.cos(np.outer(theta, ks)) @ c)) / np.pi
-        return lead + float(wt @ (dens * pot.sum(axis=1)))
-
-    coarse = integral(edges)
-    fine = integral(np.unique(np.r_[edges, 0.5 * (edges[1:] + edges[:-1])]))
+        theta.append((bounds[:-1, None] + h * t).ravel())
+        wt.append((h * w).ravel())
+    theta = np.concatenate(theta)
+    y = m + r * np.cos(theta)
+    # (u'(x) - u'(y)) / (x - y) = sum_i b_i x^i by synthetic division,
+    # b listed from x^n down; its roots are the companion eigenvalues
+    b = [np.full(y.size, a[-1])]
+    for aj in a[-2:0:-1]:
+        b.append(aj + y * b[-1])
+    comp = np.zeros((y.size, n, n))
+    comp[:, 0, :] = -np.stack(b[1:], axis=1) / a[-1]
+    comp[:, np.arange(1, n), np.arange(n - 1)] = 1.0
+    z = (np.linalg.eigvals(comp).astype(complex) - m) / r
+    phi = z + np.sqrt(z - 1.0) * np.sqrt(z + 1.0)
+    pot = np.log(r * np.abs(phi) / 2.0) - (phi[..., None] ** -ks).real @ wc
+    dens = (1.0 + 2.0 * (np.cos(np.outer(theta, ks)) @ c)) / np.pi
+    vals = dens * pot.sum(axis=1)
+    split = wt[0].size
+    coarse = lead + float(wt[0] @ vals[:split])
+    fine = lead + float(wt[1] @ vals[split:])
     return EnergyValue(fine, abs(fine - coarse) + n * float(tail[kk]) + 1e-15)
 
 

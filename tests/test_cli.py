@@ -657,6 +657,25 @@ def test_verify_suite_row_with_a_stray_role_exits_two(tmp_path, capsys):
     assert ("manifest line 3 (SSFTI): SSFTI does not read 'theta'; it reads mu, nu"
             in capsys.readouterr().err)
     assert not (tmp_path / "s.csv").exists()
+    # checked when the manifest is read: the row before it wrote no report
+    assert not (tmp_path / "s_reports").exists()
+
+
+@pytest.mark.parametrize("row, message", [
+    (["free_talagrnd", "mu=semicircle"],
+     "manifest line 3 (FREE_TALAGRND): unknown inequality kind 'FREE_TALAGRND'"),
+    (["ssfti", "mu=semicircle"],
+     "manifest line 3 (SSFTI): SSFTI needs a measure under 'nu', got nothing"),
+])
+def test_verify_suite_checks_every_row_before_any_runs(tmp_path, capsys, row, message):
+    manifest = tmp_path / "m.csv"
+    _write_manifest(manifest, [["kind", "inputs..."], SMALL_ROWS[1], row, SMALL_ROWS[3]])
+    code = main(["verify-suite", "--manifest", str(manifest),
+                 "--out", str(tmp_path / "s.csv")])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()
+    assert not (tmp_path / "s_reports").exists()
 
 
 @pytest.mark.parametrize("theta", ["abc", "1e999", "nan"])

@@ -801,3 +801,57 @@ def test_newton_residuals_are_the_dct_residuals(u):
         y = dct(f, type=2)
         want = np.array([y[0] / (2.0 * k), y[1] / k - 4.0 / rv])
         assert np.max(np.abs(eq_mod._soft_residuals(f, cos, rv) - want)) <= 1e-14, (mv, rv)
+
+
+@pytest.mark.parametrize("u, most", [
+    (abs_potential(), 6),
+    (shift_potential(abs_potential(), 0.5), 6),
+    (legendre_transform(quartic(1.0)), 6),
+    (legendre_transform(arcsine_indicator(1.0)), 6),
+    (legendre_transform(quadratic(1.0)), 1),
+    (legendre_transform(polynomial_even(0.5, 0.125)), 6),
+], ids=lambda v: getattr(v, "label", str(v)))
+def test_radius_seed_keeps_endpoint_newton_short(u, most):
+    # seeded at r0 = 2 / sqrt(u''(x0)), these took 11, 11, 9, 11, 1 and 6
+    # iterations: a kink or a cusp at x0 puts r0 far from r
+    res = solve_equilibrium(u)
+    assert res.method == "soft"
+    assert res.iterations <= most
+
+
+def test_radius_seed_is_the_root_of_the_coarse_endpoint_condition():
+    # on the 64 Chebyshev angles c_1 is exact for a linear u', and for |x| at
+    # x0 = 0 it is (2/64) sum |cos theta_j| at every r; the seed hits both
+    # roots to rounding from an r0 far off on either side
+    import freelab.equilibrium as eq_mod
+
+    cos = np.cos(np.pi * (np.arange(64) + 0.5) / 64)
+    for u, want in ((replace(quadratic(4.0), deriv_coeffs=None), 1.0),
+                    (abs_potential(), 4.0 / ((2.0 / 64) * np.sum(np.abs(cos))))):
+        for r0 in (1e-3, 30.0):
+            assert abs(eq_mod._radius_seed(u, 0.0, r0) - want) <= 4e-16 * want, (u.label, r0)
+    # no root inside the walls: the flat well keeps its r0
+    assert eq_mod._radius_seed(arcsine_indicator(1.0), 0.0, 0.25) == 0.25
+
+
+@pytest.mark.parametrize("u", list(_polynomial_variants()), ids=lambda u: u.label)
+def test_polynomial_seed_matches_the_companion_roots(u):
+    # the reference takes both roots from companion-matrix eigenvalues; the
+    # shifted quartic's u' = g (x - 1/2)^3 has a triple root, which they
+    # miss by 5e-6, so its m is the shift
+    import math
+
+    import freelab.equilibrium as eq_mod
+
+    a = np.trim_zeros(np.asarray(u.deriv_coeffs, dtype=float), "b")
+    roots = np.roots(a[::-1])
+    m = float(roots[np.argmin(np.abs(roots.imag))].real)
+    if u.label.startswith("shifted"):
+        m = 0.5
+    b = [sum(a[j] * math.comb(j, i) * m ** (j - i) for j in range(i, a.size)) for i in range(a.size)]
+    q = [-4.0] + [b[i] * 2.0 ** (1 - i) * math.comb(i, i // 2) for i in range(1, a.size, 2)]
+    s = np.roots(q[::-1])
+    s = s[s.real > 0.0]
+    r = float(np.sqrt(s[np.argmin(np.abs(s.imag))].real))
+    got = eq_mod._poly_seed(a)
+    assert abs(got[0] - m) <= 1e-14 * (1.0 + abs(m)) and abs(got[1] - r) <= 1e-14 * r

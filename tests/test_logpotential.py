@@ -310,6 +310,65 @@ def test_log_jacobian_of_quadratic_is_exactly_log_c():
             assert log_jacobian(mu, u).value == np.log(c), (c, mu.label)
 
 
+def _two_pass_root_jacobian(series, coeffs):
+    """The root route with its coarse and fine angle pieces summed in two
+    separate passes: (value, error_est)."""
+    import freelab.logpotential as lp_mod
+
+    a = np.trim_zeros(np.asarray(coeffs, dtype=float), "b")
+    n = a.size - 2
+    m, r, c = series
+    lead = float(np.log(abs(a[-1])))
+    tail = np.cumsum(np.r_[0.0, (2.0 * np.abs(c) / np.arange(1, c.size + 1))[::-1]])[::-1]
+    kk = int(np.argmax(tail < lp_mod._SERIES_TAIL))
+    ks = np.arange(1, kk + 1)
+    c, wc = c[:kk], 2.0 * c[:kk] / ks
+    flat = np.polynomial.polynomial.polyroots(np.polynomial.polynomial.polyder(a))
+    flat = flat.real[(np.abs(flat.imag) <= 1e-6 * (1.0 + np.abs(flat))) & (np.abs(flat.real - m) < r)]
+    edges = np.unique(np.r_[0.0, np.arccos((flat - m) / r), np.pi])
+    t, w = gauss_legendre_01(lp_mod._ROOT_NODES)
+
+    def integral(bounds):
+        h = np.diff(bounds)[:, None]
+        theta, wt = (bounds[:-1, None] + h * t).ravel(), (h * w).ravel()
+        y = m + r * np.cos(theta)
+        b = [np.full(y.size, a[-1])]
+        for aj in a[-2:0:-1]:
+            b.append(aj + y * b[-1])
+        comp = np.zeros((y.size, n, n))
+        comp[:, 0, :] = -np.stack(b[1:], axis=1) / a[-1]
+        comp[:, np.arange(1, n), np.arange(n - 1)] = 1.0
+        z = (np.linalg.eigvals(comp).astype(complex) - m) / r
+        phi = z + np.sqrt(z - 1.0) * np.sqrt(z + 1.0)
+        pot = np.log(r * np.abs(phi) / 2.0) - (phi[..., None] ** -ks).real @ wc
+        dens = (1.0 + 2.0 * (np.cos(np.outer(theta, ks)) @ c)) / np.pi
+        return lead + float(wt @ (dens * pot.sum(axis=1)))
+
+    coarse = integral(edges)
+    fine = integral(np.unique(np.r_[edges, 0.5 * (edges[1:] + edges[:-1])]))
+    return fine, abs(fine - coarse) + n * float(tail[kk]) + 1e-15
+
+
+@pytest.mark.parametrize("u", [quartic(0.5), polynomial_even(0.5, 0.125),
+                               shift_potential(quartic(1.0), 0.5), tilt_linear(quartic(1.0), 0.3),
+                               tilt_linear(polynomial_even(0.6, 0.15), -0.7)],
+                         ids=lambda u: u.label)
+def test_root_jacobian_in_one_batch_matches_two_passes(u, monkeypatch):
+    import freelab.logpotential as lp_mod
+    from freelab._angle_series import series_of
+    from freelab.equilibrium import solve_equilibrium
+
+    series = series_of(solve_equilibrium(u))
+    want = _two_pass_root_jacobian(series, u.deriv_coeffs)
+    batches = []
+    eigvals = np.linalg.eigvals
+    monkeypatch.setattr(np.linalg, "eigvals", lambda mat: batches.append(np.ndim(mat)) or eigvals(mat))
+    got = lp_mod._root_jacobian(series, u.deriv_coeffs)
+    assert (got.value, got.error_est) == want
+    # one companion-matrix batch; the 2-D call is the roots of u''
+    assert batches.count(3) == 1 and batches.count(2) <= 1
+
+
 def test_log_jacobian_declines_the_root_route_on_noisy_moments():
     # half the mass uniform on [-1, 0] and half on [0, 2]: the density jumps
     # at 0, so the moments fall off only like 1/k, the root route would sum

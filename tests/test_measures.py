@@ -225,3 +225,24 @@ def test_translate_keeps_the_series_and_pushforward_drops_it():
     assert make_marchenko_pastur_family(1.5).series[:2] == (3.0, 3.0)
     assert pushforward_monotone(sig, lambda x: 2.0 * x).series is None
     assert from_quantile_table(sig.quantile_ps, sig.quantile_xs).series is None
+
+
+def test_series_moment_matches_the_chebpow_expansion():
+    # the reference expands (m + r x)^k by numpy's Chebyshev power
+    from freelab._angle_series import series_moment
+    from freelab.equilibrium import solve_equilibrium
+    from freelab.potentials import quartic, tilt_linear
+
+    def reference(series, k):
+        m, r, tau = series
+        a = np.polynomial.chebyshev.chebpow([m, r], k)
+        return float(a[0] + a[1:1 + tau.size] @ tau[:k])
+
+    laws = [make_semicircular(mean=0.7, variance=2.0), make_arcsine(1.5, -0.25),
+            make_marchenko_pastur_family(1.5), translate(make_semicircular(), -1.25),
+            solve_equilibrium(tilt_linear(quartic(1.0), 0.3)).measure]
+    for mu in laws:
+        m, r = mu.series[:2]
+        for k in range(9):
+            want = reference(mu.series, k)
+            assert abs(series_moment(mu.series, k) - want) <= 1e-14 * (abs(m) + r) ** k, (mu.label, k)
