@@ -244,10 +244,10 @@ def _radius_seed(u: Potential, x0: float, r0: float) -> float:
 
     lo = hi = r0
     g_lo = g_hi = excess(r0)
-    for _ in range(64):  # grow or shrink until the sign changes
+    for _ in range(64):  # grow or shrink until the sign changes, or r0 is the root
         if not math.isfinite(g_lo + g_hi):
             return r0
-        if g_lo >= 0.0:
+        if g_lo > 0.0:
             hi, g_hi, lo = lo, g_lo, 0.5 * lo
             g_lo = excess(lo)
         elif g_hi < 0.0:
